@@ -77,6 +77,8 @@ def sweep_from_workspace(workspace_dir: str) -> dict:
 def _sweep_cell(row: Optional[dict]) -> str:
     if row is None:
         return "—"
+    if "ops_per_s" in row:
+        return f"{row['ops_per_s']:,.0f} ops/s"
     if "speedup" in row:
         return f"{row['speedup']:.2f}x"
     if "root_in_bytes_per_epoch" in row:

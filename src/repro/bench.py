@@ -57,8 +57,8 @@ machinery under timer-heavy churn:
 - ``heartbeat_storm_n4096`` — 4096 fault-tolerant clients beating two
   servers, half disconnecting mid-run.
 
-``--scale-sweep`` runs those kernels across growing populations with
-each fast path on and off, so the sublinear claims are measured.
+``--scale-sweep`` runs those kernels across growing populations, so
+the sublinear claims are measured as production ops/s per population.
 """
 
 from __future__ import annotations
@@ -75,16 +75,12 @@ import numpy as np
 from .bb import ClientConfig, Cluster, ClusterConfig, ServerConfig
 from .core import (JobInfo, Policy, StatisticalTokenScheduler,
                    TokenAssignment)
-from .core import scheduler as _schedmod
 from .core.baselines import GiftScheduler
-from .core.baselines import gift as _giftmod
 from .fs import erasure as _ecmod
-from .fs import locking as _lockmod
 from .fs.filesystem import ThemisFS
 from .fs.locking import RangeLockTable
 from .harness.workspace import code_rev as git_rev
 from .net import Fabric
-from .sim import process as _procmod
 from .sim.engine import Engine
 from .sim.rng import RngRegistry
 from .ucx import RpcClient, RpcServer, UCPContext
@@ -428,9 +424,9 @@ def bench_contended_lock_fanout(n_waiters: int = 512,
 
     Waiters park on disjoint byte ranges of one inode; a holder cycles
     lock/release over one waiter's range per round. A range-indexed
-    release wakes exactly the one conflicting waiter; the wake-all path
-    wakes all of them and every loser re-parks — O(n) wakeups per
-    release. Woken waiters re-register, as the server worker loop does.
+    release wakes exactly the one conflicting waiter, where waking all
+    of them would cost O(n) wakeups per release (every loser re-parks).
+    Woken waiters re-register, as the server worker loop does.
     """
     woken_log = []
 
@@ -512,10 +508,9 @@ def bench_rpc_timeout_churn(n_calls: int = 100_000) -> Dict[str, float]:
     stack against an echo server; every reply wins its race, so by the
     end the event queue holds up to *n_calls* expiry-timer corpses.
     Phase 2 (``wall_s``, the reported rate) runs the engine to empty:
-    the cost of carrying and retiring that garbage. With cancellation
-    on, one compaction drops the corpses wholesale; with it off (the
-    sweep's exact side) every timer is heap-popped and fired as a
-    no-op. One op = one expiry timer retired.
+    the cost of carrying and retiring that garbage: one compaction
+    drops the corpses wholesale instead of heap-popping and firing each
+    as a no-op. One op = one expiry timer retired.
     """
     engine = Engine()
     fabric = Fabric(engine, latency=0.001, link_bandwidth=1e9)
@@ -698,33 +693,28 @@ def run_all(quick: bool) -> Dict[str, Dict[str, float]]:
 
 # ------------------------------------------------------------- scale sweep
 #: kernel name -> (factory(population) -> op-counting callable,
-#:                 fast-path toggle setter, population ladder).
+#:                 population ladder). ``lock_waiter_index`` is the
+#: fanout workload under the historical name of its bucket-index
+#: ladder, kept so sweep rows line up with the committed SWEEP files.
 _SCALE_SWEEP = {
     "scheduler_dequeue": (
         lambda n: (lambda: bench_scheduler_dequeue_scale(n_jobs=n,
                                                          draws=4096)),
-        _schedmod.set_sampled_dequeue_enabled,
         (256, 1024, 4096),
     ),
     "contended_lock_fanout": (
         lambda n: (lambda: bench_contended_lock_fanout(n_waiters=n,
                                                        rounds=2000)),
-        _lockmod.set_range_wake_enabled,
         (64, 256, 1024),
     ),
-    # Same fanout workload, but toggling only the bucket index that
-    # accelerates conflict-candidate selection *within* range-indexed
-    # wakeups (range wake itself stays on for both sides).
     "lock_waiter_index": (
         lambda n: (lambda: bench_contended_lock_fanout(n_waiters=n,
                                                        rounds=2000)),
-        _lockmod.set_waiter_index_enabled,
         (64, 256, 1024),
     ),
     "gift_quiescent_epochs": (
         lambda n: (lambda: bench_gift_quiescent_epochs(n_jobs=n,
                                                        epochs=1000)),
-        _giftmod.set_gift_quiescence_enabled,
         (64, 256, 1024),
     ),
 }
@@ -732,54 +722,32 @@ _SCALE_SWEEP = {
 
 def bench_scale_cell(config: Dict) -> Dict:
     """One (kernel, population) cell of the scale sweep: the kernel's
-    ops/s with its fast path toggled on and off (sweep point kind
-    ``bench_scale``). Config keys: ``kernel``, ``population``, optional
-    ``rounds`` (5)."""
+    production ops/s (sweep point kind ``bench_scale``). Config keys:
+    ``kernel``, ``population``, optional ``rounds`` (5)."""
     kernel = str(config["kernel"])
     try:
-        factory, toggle, _ladder = _SCALE_SWEEP[kernel]
+        factory, _ladder = _SCALE_SWEEP[kernel]
     except KeyError:
         from .errors import ReproError
         raise ReproError(f"unknown scale kernel {kernel!r}; known: "
                          f"{', '.join(sorted(_SCALE_SWEEP))}") from None
     fn = factory(int(config["population"]))
     rounds = int(config.get("rounds", 5))
-    try:
-        toggle(True)
-        fast = _time_kernel(fn, rounds)["ops_per_s"]
-        toggle(False)
-        exact = _time_kernel(fn, rounds)["ops_per_s"]
-    finally:
-        toggle(True)
     return {"population": int(config["population"]),
-            "fast_ops_per_s": fast,
-            "exact_ops_per_s": exact,
-            "speedup": round(fast / exact, 2) if exact else 0.0}
+            "ops_per_s": _time_kernel(fn, rounds)["ops_per_s"]}
 
 
 def bench_timer_churn_cell(config: Dict) -> Dict:
     """One population point of the timeout-churn sweep (sweep point
-    kind ``bench_timer_churn``): the churn-phase rate of
-    :func:`bench_rpc_timeout_churn` with cancellation on (fast) vs off
-    (the heap-with-dead-timers baseline). Config keys: ``population``
+    kind ``bench_timer_churn``): the best churn-phase rate of
+    :func:`bench_rpc_timeout_churn`. Config keys: ``population``
     (outstanding calls), optional ``rounds`` (3)."""
     population = int(config["population"])
     rounds = int(config.get("rounds", 3))
-
-    def best_wall(cancel: bool) -> float:
-        _procmod.set_cancel_enabled(cancel)
-        try:
-            return min(bench_rpc_timeout_churn(population)["wall_s"]
-                       for _ in range(rounds))
-        finally:
-            _procmod.set_cancel_enabled(True)
-
-    fast_wall = best_wall(True)
-    exact_wall = best_wall(False)
+    wall = min(bench_rpc_timeout_churn(population)["wall_s"]
+               for _ in range(rounds))
     return {"population": population,
-            "fast_ops_per_s": round(population / fast_wall, 1),
-            "exact_ops_per_s": round(population / exact_wall, 1),
-            "speedup": round(exact_wall / fast_wall, 2)}
+            "ops_per_s": round(population / wall, 1)}
 
 
 def bench_sync_cell(config: Dict) -> Dict:
@@ -813,12 +781,11 @@ def bench_lambda_delta_cell(config: Dict) -> Dict:
 
 def run_scale_sweep(quick: bool = False, workspace=None, jobs: int = 1,
                     rerun: bool = False):
-    """Each scale kernel across growing populations, fast path on/off.
+    """Each scale kernel across growing populations.
 
     The op count per kernel is population-independent, so ops/s across
     the ladder directly exposes how per-op cost grows with population:
-    a sublinear fast path holds its rate roughly flat while the exact
-    path's rate decays ~linearly.
+    a sublinear path holds its rate roughly flat.
 
     Every (kernel, population) cell runs as an independent workspace
     point: with a ``workspace`` attached, cells already stored at this
@@ -830,16 +797,15 @@ def run_scale_sweep(quick: bool = False, workspace=None, jobs: int = 1,
     from .harness.sweep import ParallelRunner
     rounds = 2 if quick else 5
     points = []
-    for name, (_factory, _toggle, ladder) in _SCALE_SWEEP.items():
+    for name, (_factory, ladder) in _SCALE_SWEEP.items():
         if quick:
             ladder = ladder[:2]
         for population in ladder:
             points.append(("bench_scale",
                            {"kernel": name, "population": int(population),
                             "rounds": rounds}))
-    # Timeout churn: cancellation on vs the heap-with-dead-timers
-    # baseline, across outstanding-call counts (ISSUE 10 acceptance:
-    # >=2x at 10^5 outstanding).
+    # Timeout churn: retiring expiry-timer garbage across
+    # outstanding-call counts.
     for population in ((10_000, 40_000) if quick
                        else (10_000, 40_000, 100_000)):
         points.append(("bench_timer_churn",
@@ -906,11 +872,9 @@ def run_and_write_sweep(quick: bool = False, out: Optional[str] = None,
     for name, rows in sweep.items():
         print(f"\n{name}")
         for row in rows:
-            if "speedup" in row:
+            if "ops_per_s" in row:
                 print(f"  n={row['population']:>5}  "
-                      f"fast {row['fast_ops_per_s']:>12,.0f} ops/s  "
-                      f"exact {row['exact_ops_per_s']:>12,.0f} ops/s  "
-                      f"speedup {row['speedup']:.2f}x")
+                      f"{row['ops_per_s']:>12,.0f} ops/s")
             elif "root_in_bytes_per_epoch" in row:
                 tag = row["mode"] + ("+skip" if row.get("quiescent_skips")
                                      else "")
@@ -961,7 +925,7 @@ def main(argv=None) -> int:
                         help="output path (default BENCH_<rev>.json in cwd)")
     parser.add_argument("--scale-sweep", action="store_true",
                         help="sweep the scale-regime kernels across "
-                             "populations with fast paths on/off")
+                             "populations")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for cold sweep cells")
     parser.add_argument("--workspace", default=".workspace",

@@ -43,23 +43,7 @@ from ..jobinfo import JobInfo
 from ..queues import QueueSet
 from ..scheduler import Scheduler
 
-__all__ = ["GiftScheduler", "set_gift_quiescence_enabled",
-           "gift_quiescence_enabled"]
-
-#: Process-wide switch for skipping ``_allocate`` on provably-quiescent
-#: epoch boundaries (see :meth:`GiftScheduler._skip_quiescent`).
-_QUIESCENCE_ENABLED = True
-
-
-def set_gift_quiescence_enabled(enabled: bool) -> None:
-    """Enable/disable quiescent-epoch forecasting (module-wide)."""
-    global _QUIESCENCE_ENABLED
-    _QUIESCENCE_ENABLED = bool(enabled)
-
-
-def gift_quiescence_enabled() -> bool:
-    """Whether quiescent epoch boundaries bypass the full allocation."""
-    return _QUIESCENCE_ENABLED
+__all__ = ["GiftScheduler"]
 
 
 class GiftScheduler(Scheduler):
@@ -151,9 +135,8 @@ class GiftScheduler(Scheduler):
     def _maybe_reallocate(self, now: float) -> None:
         if self._epoch_end is not None and now < self._epoch_end:
             return
-        if (_QUIESCENCE_ENABLED and self._quiescent_form
-                and not self._used_epoch and not self._arrived_epoch
-                and not self.queues):
+        if (self._quiescent_form and not self._used_epoch
+                and not self._arrived_epoch and not self.queues):
             self._skip_quiescent(now)
             return
         self._allocate(now)

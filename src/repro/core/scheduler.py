@@ -30,18 +30,13 @@ from .queues import QueueSet
 from .sampled import BacklogSampler
 from .tokens import TokenAssignment
 
-__all__ = ["Scheduler", "StatisticalTokenScheduler",
-           "set_sampled_dequeue_enabled", "sampled_dequeue_enabled"]
+__all__ = ["Scheduler", "StatisticalTokenScheduler"]
 
-#: Process-wide switch for the Fenwick-sampled opportunity-fair dequeue.
-#: Sampled and exact draws are bit-identical (the sampler's boundary
-#: guard falls back to the exact path whenever float association order
-#: could matter — see :mod:`repro.core.sampled`); the toggle exists for
-#: the trace-equivalence suite and for measuring the structure's effect.
-_SAMPLED_DEQUEUE_ENABLED = True
-
-#: Backlogged-job count below which the exact O(n) draw answers even
-#: with the sampler enabled. Small populations under membership or
+#: Backlogged-job count below which the exact O(n) draw answers instead
+#: of the Fenwick sampler. Sampled and exact draws are bit-identical
+#: (the sampler's boundary guard falls back to the exact path whenever
+#: float association order could matter — see
+#: :mod:`repro.core.sampled`). Small populations under membership or
 #: reallocation churn spend more on O(log n) tree maintenance and
 #: O(n) bulk reloads than the sampled draws save: the 3-job system
 #: write benches lose ~8 % end-to-end on the sampled path, and the
@@ -52,17 +47,6 @@ _SAMPLED_DEQUEUE_ENABLED = True
 #: populations pay only this comparison. Either path answers any given
 #: draw bit-identically, so the cutover cannot change a trace.
 _SAMPLED_MIN_JOBS = 64
-
-
-def set_sampled_dequeue_enabled(enabled: bool) -> None:
-    """Enable/disable the Fenwick-sampled dequeue (module-wide)."""
-    global _SAMPLED_DEQUEUE_ENABLED
-    _SAMPLED_DEQUEUE_ENABLED = bool(enabled)
-
-
-def sampled_dequeue_enabled() -> bool:
-    """Whether opportunity-fair draws use the Fenwick sampler."""
-    return _SAMPLED_DEQUEUE_ENABLED
 
 
 class Scheduler(ABC):
@@ -188,8 +172,8 @@ class StatisticalTokenScheduler(Scheduler):
     def enqueue(self, request: Any, now: float) -> None:
         queues = self.queues
         if self._sampler_mv < 0:
-            # No sampler tree was ever built (small-population regime or
-            # toggle off): nothing to keep in step.
+            # No sampler tree was ever built (small-population regime):
+            # nothing to keep in step.
             queues.push(request)
             return
         before = queues.membership_version
@@ -253,8 +237,7 @@ class StatisticalTokenScheduler(Scheduler):
         u = float(self.rng.random())
         # len() on the private list dodges a method call on the
         # per-dequeue hot path (== queues.backlogged_jobs()).
-        if _SAMPLED_DEQUEUE_ENABLED and \
-                len(queues._sorted_jobs) >= _SAMPLED_MIN_JOBS:
+        if len(queues._sorted_jobs) >= _SAMPLED_MIN_JOBS:
             choice = self._sampled_choice(u)
         else:
             choice = self._restricted_assignment().draw(u)

@@ -19,37 +19,27 @@ place instead of moving to the back of the queue, so contention
 resolution order is deterministic and independent of how many no-op
 wakeups happen in between.
 
-Release-time wakeup policy is a module toggle
-(:func:`set_range_wake_enabled`):
+Wakeups are **range-indexed**: a write-lock release wakes only the
+waiters whose byte ranges overlap a released range, in FIFO order; a
+metadata-mutex release wakes only the head waiter. Waiters that could
+not possibly acquire are never scheduled, so a release's wakeup cost
+scales with the *conflicting* waiters, not the inode's total fan-out.
+The traces are bit-identical to waking every waiter on the inode: a
+waiter whose range overlaps no released range retries against the same
+set of conflicting held locks and deterministically fails, so its
+wakeup would be a pure no-op — and because losers keep their queue
+position, skipping the no-op leaves the acquisition order unchanged.
+The tables stay simulation-agnostic — a waiter is anything with a
+``succeed()`` method, which :class:`repro.sim.process.Event` provides.
 
-- **range-indexed** (the default): a write-lock release wakes only the
-  waiters whose byte ranges overlap a released range, in FIFO order; a
-  metadata-mutex release wakes only the head waiter. Waiters that could
-  not possibly acquire are never scheduled, so a release's wakeup cost
-  scales with the *conflicting* waiters, not the inode's total fan-out.
-- **wake-all** (toggle off, the original behaviour): every release
-  wakes every waiter on the inode and losers re-register.
-
-The two policies produce bit-identical simulated traces: a waiter whose
-range overlaps no released range retries against the same set of
-conflicting held locks and deterministically fails, so its wake-all
-wakeup is a pure no-op — and because losers keep their queue position,
-skipping the no-op leaves the acquisition order unchanged. The tables
-stay simulation-agnostic — a waiter is anything with a ``succeed()``
-method, which :class:`repro.sim.process.Event` provides.
-
-Within range-indexed mode, conflict-candidate *selection* has its own
-fast path (:func:`set_waiter_index_enabled`): each inode keeps a bucket
-index over its armed waiter ranges (power-of-two bucket width sized
-from the inode's first waited range; entries spanning too many buckets
-park in a wildcard list). A release collects candidates from only the
-buckets its freed ranges touch plus the wildcards, sorts them by queue
+Conflict candidates are *selected* through a bucket index over each
+inode's armed waiter ranges (power-of-two bucket width sized from the
+inode's first waited range; entries spanning too many buckets park in
+a wildcard list). A release collects candidates from only the buckets
+its freed ranges touch plus the wildcards, sorts them by queue
 sequence number, and runs the exact overlap check on that shortlist —
 identical wake set and FIFO order to scanning the whole queue, without
-the O(total waiters) scan on high-fan-in inodes. The index is
-maintained unconditionally (cheap dict ops); the toggle gates only
-whether ``_wake`` consults it, so A/B bench runs compare pure
-candidate-selection cost.
+the O(total waiters) scan on high-fan-in inodes.
 """
 
 from __future__ import annotations
@@ -58,16 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import FSError
 
-__all__ = ["RangeLockTable", "MetadataLockTable",
-           "set_range_wake_enabled", "range_wake_enabled",
-           "set_waiter_index_enabled", "waiter_index_enabled"]
-
-#: Process-wide switch for range-indexed (conflict-only) wakeups.
-_RANGE_WAKE_ENABLED = True
-
-#: Process-wide switch for bucket-indexed candidate selection inside
-#: range-indexed wakeups (no effect while range wake is disabled).
-_WAITER_INDEX_ENABLED = True
+__all__ = ["RangeLockTable", "MetadataLockTable"]
 
 #: Minimum bucket width exponent: buckets never get finer than 2^10 B.
 _MIN_BUCKET_BITS = 10
@@ -78,28 +59,6 @@ _DEFAULT_BUCKET_WIDTH = 1 << 12
 #: An entry spanning more than this many buckets indexes as a wildcard
 #: (always a candidate) instead of bloating per-bucket lists.
 _INDEX_SPAN_CAP = 8
-
-
-def set_range_wake_enabled(enabled: bool) -> None:
-    """Enable/disable conflict-indexed wakeups (module-wide)."""
-    global _RANGE_WAKE_ENABLED
-    _RANGE_WAKE_ENABLED = bool(enabled)
-
-
-def range_wake_enabled() -> bool:
-    """Whether releases wake only range-conflicting waiters."""
-    return _RANGE_WAKE_ENABLED
-
-
-def set_waiter_index_enabled(enabled: bool) -> None:
-    """Enable/disable bucket-indexed wake candidate selection."""
-    global _WAITER_INDEX_ENABLED
-    _WAITER_INDEX_ENABLED = bool(enabled)
-
-
-def waiter_index_enabled() -> bool:
-    """Whether releases shortlist candidates via the bucket index."""
-    return _WAITER_INDEX_ENABLED
 
 
 class _WaitEntry:
@@ -273,34 +232,25 @@ class _WaiterMixin:
                 del self._waiters[ino]
                 self._index.pop(ino, None)
 
-    def _wake(self, ino: int,
-              ranges: Optional[List[Tuple[int, int]]] = None) -> int:
-        """Wake armed waiters on *ino* in FIFO order; returns the count.
+    def _wake(self, ino: int, ranges: List[Tuple[int, int]]) -> int:
+        """Wake the armed waiters on *ino* that overlap a released range
+        (unranged waiters always), in FIFO order; returns the count.
 
-        With range-indexed wakeups enabled and *ranges* given, only
-        waiters overlapping a released range are woken; otherwise every
-        armed waiter is. Entries stay queued (one-shot, positional) —
-        the owner either acquires (entry discarded) or re-arms.
-
-        Candidate selection: with the bucket index enabled, only owners
-        in buckets touched by *ranges* (plus wildcards) are considered,
-        sorted back into queue-sequence order before the exact overlap
-        check — the same waiters wake in the same order as a full scan.
+        Entries stay queued (one-shot, positional) — the owner either
+        acquires (entry discarded) or re-arms. Only owners in buckets
+        touched by *ranges* (plus wildcards) are considered, sorted back
+        into queue-sequence order before the exact overlap check — the
+        same waiters wake in the same order as a full scan.
         """
         queue = self._waiters.get(ino)
         if not queue:
             return 0
-        indexed = _RANGE_WAKE_ENABLED and ranges is not None
-        entries = None
-        if indexed and _WAITER_INDEX_ENABLED:
-            index = self._index.get(ino)
-            if index is not None and len(index.placed) == len(queue):
-                shortlist = [queue[owner]
-                             for owner in index.candidates(ranges)
-                             if owner in queue]
-                shortlist.sort(key=lambda e: e.seq)
-                entries = shortlist
-        if entries is None:
+        index = self._index.get(ino)
+        if index is not None and len(index.placed) == len(queue):
+            entries = [queue[owner] for owner in index.candidates(ranges)
+                       if owner in queue]
+            entries.sort(key=lambda e: e.seq)
+        else:
             entries = list(queue.values())
         woken = 0
         for entry in entries:
@@ -311,7 +261,7 @@ class _WaiterMixin:
                 # succeed() on it would raise. Retire the entry instead.
                 entry.woken = True
                 continue
-            if indexed and entry.offset is not None:
+            if entry.offset is not None:
                 for lo, hi in ranges:
                     if entry.offset < hi and lo < entry.end:
                         break
@@ -381,14 +331,14 @@ class RangeLockTable(_WaiterMixin):
         """Release all write locks held by *owner* on *ino*; returns count.
 
         Releasing wakes the waiters parked on *ino* whose ranges overlap
-        a released range (every waiter in wake-all mode).
+        a released range.
         """
         held = self._writes.get(ino)
         if not held:
             return 0
         if not self._waiters.get(ino):
             # Nobody parked on this inode: drop the owner's locks without
-            # collecting the freed ranges (both wake policies no-op).
+            # collecting the freed ranges (the wake would be a no-op).
             kept = [t for t in held if t[2] is not owner]
             if kept:
                 self._writes[ino] = kept
@@ -446,20 +396,16 @@ class MetadataLockTable(_WaiterMixin):
         return current is owner  # re-entrant for the same owner
 
     def unlock(self, ino: int, owner: object) -> None:
-        """Release the mutex (must be the owner) and wake waiters.
+        """Release the mutex (must be the owner) and wake the head waiter.
 
-        With range-indexed wakeups enabled only the head waiter wakes —
-        a mutex has exactly one next holder, and the head deterministically
-        wins the retry, so waking the rest is a no-op the wake-all mode
-        performs and this mode skips.
+        A mutex has exactly one next holder, and the head
+        deterministically wins the retry, so waking the rest would be a
+        no-op.
         """
         if self._held.get(ino) is not owner:
             raise FSError(f"unlocking metadata lock not held by owner: ino={ino}")
         del self._held[ino]
-        if _RANGE_WAKE_ENABLED:
-            self._wake_head(ino)
-        else:
-            self._wake(ino)
+        self._wake_head(ino)
 
     def unlock_if_held(self, ino: int, owner: object) -> bool:
         """Release the mutex only if *owner* holds it; True if released.
@@ -471,10 +417,7 @@ class MetadataLockTable(_WaiterMixin):
         if self._held.get(ino) is not owner:
             return False
         del self._held[ino]
-        if _RANGE_WAKE_ENABLED:
-            self._wake_head(ino)
-        else:
-            self._wake(ino)
+        self._wake_head(ino)
         return True
 
     def reset(self) -> None:

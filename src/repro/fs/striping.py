@@ -23,25 +23,10 @@ from ..errors import InvalidArgument
 
 __all__ = ["StripeSpec", "ErasureSpec", "ChunkSlice", "ParitySlice",
            "map_range", "server_spans", "parity_slices", "parity_spans",
-           "group_range", "set_stripe_memo_enabled", "stripe_memo_enabled"]
-
-#: Process-wide switch for the layout memo (seed-equivalence suite and
-#: benchmarking; memoised and recomputed layouts are identical).
-_MEMO_ENABLED = True
+           "group_range"]
 
 #: Cap on memoised ranges per stripe spec (per memo kind).
 _MEMO_MAX = 4096
-
-
-def set_stripe_memo_enabled(enabled: bool) -> None:
-    """Enable/disable the per-spec stripe-layout memo."""
-    global _MEMO_ENABLED
-    _MEMO_ENABLED = bool(enabled)
-
-
-def stripe_memo_enabled() -> bool:
-    """Whether layout computations are memoised on the spec."""
-    return _MEMO_ENABLED
 
 
 @dataclass(frozen=True)
@@ -203,11 +188,10 @@ def map_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
     """
     if offset < 0 or length < 0:
         raise InvalidArgument(f"invalid range: offset={offset} length={length}")
-    if _MEMO_ENABLED:
-        memo = spec._memo("_range_memo")
-        cached = memo.get((offset, length))
-        if cached is not None:
-            return cached
+    memo = spec._memo("_range_memo")
+    cached = memo.get((offset, length))
+    if cached is not None:
+        return cached
     slices: List[ChunkSlice] = []
     pos = offset
     end = offset + length
@@ -224,10 +208,9 @@ def map_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
             length=take,
         ))
         pos += take
-    if _MEMO_ENABLED:
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[(offset, length)] = slices
+    if len(memo) >= _MEMO_MAX:
+        memo.clear()
+    memo[(offset, length)] = slices
     return slices
 
 
@@ -240,22 +223,19 @@ def server_spans(spec: AnySpec, offset: int,
     returned per call (callers may keep or discard it), built from a
     cached aggregate.
     """
-    if _MEMO_ENABLED:
-        memo = spec._memo("_span_memo")
-        cached = memo.get((offset, length))
-        if cached is not None:
-            return dict(cached)
+    memo = spec._memo("_span_memo")
+    cached = memo.get((offset, length))
+    if cached is not None:
+        return dict(cached)
     spans: Dict[str, Tuple[int, int]] = {}
     for piece in map_range(spec, offset, length):
         first, total = spans.get(piece.server, (piece.file_offset, 0))
         spans[piece.server] = (min(first, piece.file_offset),
                                total + piece.length)
-    if _MEMO_ENABLED:
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[(offset, length)] = spans
-        return dict(spans)
-    return spans
+    if len(memo) >= _MEMO_MAX:
+        memo.clear()
+    memo[(offset, length)] = spans
+    return dict(spans)
 
 
 # ----------------------------------------------------------- erasure layout

@@ -30,8 +30,8 @@ across all three execution modes because points share nothing:
    canonical JSON, so a cache replay returns byte-identical documents.
 
 Workers use the ``spawn`` start method: each child imports a fresh
-interpreter instead of inheriting the parent's (possibly toggled or
-warmed) module state, which keeps worker behaviour identical to a
+interpreter instead of inheriting the parent's (possibly warmed)
+module state, which keeps worker behaviour identical to a
 fresh serial process.
 """
 

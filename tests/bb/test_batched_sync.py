@@ -5,22 +5,12 @@ economy the batching buys (2·(N−1) pairs per epoch vs N·(N−1))."""
 import numpy as np
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
-from repro.bb.controller import (set_sync_delta_enabled,
-                                 set_sync_gather_delta_enabled,
-                                 set_sync_hash_skip_enabled,
-                                 sync_delta_enabled,
-                                 sync_gather_delta_enabled,
-                                 sync_hash_skip_enabled)
 from repro.core import JobInfo
-from repro.core import scheduler as schedmod
-from repro.core.baselines import gift as giftmod
 from repro.core.fairness import all_gather_merge
 from repro.core.jobinfo import JobStatusTable
-from repro.fs import filesystem as fsmod
-from repro.fs import locking as lockmod
-from repro.fs import striping as stripemod
-from repro.core import policy as policymod
 from repro.units import GB, MB
+
+from ..oracles import exact, exact_unless
 
 
 def _run_cluster(batched, *, seed=0, until=6.0, n_servers=3, n_jobs=4,
@@ -107,13 +97,9 @@ class TestProtocolEquivalence:
 
 class TestHashSkip:
     def test_hash_skip_is_trace_neutral(self):
-        assert sync_hash_skip_enabled()
         skipping = _trace(_run_cluster(True, seed=1))
-        set_sync_hash_skip_enabled(False)
-        try:
+        with exact("sync_hash_skip"):
             merging = _trace(_run_cluster(True, seed=1))
-        finally:
-            set_sync_hash_skip_enabled(True)
         assert skipping == merging
 
     def test_skips_happen_on_quiescent_tables(self):
@@ -157,22 +143,15 @@ class TestDeltaSync:
     """Delta-encoded scatter pushes: same trace, fewer payload bytes."""
 
     def test_delta_is_trace_neutral(self):
-        assert sync_delta_enabled()
         delta = _trace(_run_cluster(True, seed=4, n_servers=4))
-        set_sync_delta_enabled(False)
-        try:
+        with exact("sync_delta"):
             full = _trace(_run_cluster(True, seed=4, n_servers=4))
-        finally:
-            set_sync_delta_enabled(True)
         assert delta == full
 
     def test_delta_shrinks_payload_bytes_not_wire_size(self):
         def measure(flag):
-            set_sync_delta_enabled(flag)
-            try:
+            with exact_unless(flag, "sync_delta"):
                 c = _run_cluster(True, seed=4, n_servers=4, writes=20)
-            finally:
-                set_sync_delta_enabled(True)
             pushes = sum(s.controller.delta_pushes
                          for s in c.servers.values())
             return c.fabric.bytes_sent, c.fabric.payload_bytes_sent, pushes
@@ -194,33 +173,13 @@ class TestDeltaSync:
 
 
 class TestAllTogglesEquivalence:
-    """The acceptance bar: one end-to-end run with every fast path
-    enabled vs every fast path disabled — bit-identical event trace."""
-
-    TOGGLES = [
-        (policymod.set_share_cache_enabled, policymod.share_cache_enabled),
-        (set_sync_hash_skip_enabled, sync_hash_skip_enabled),
-        (stripemod.set_stripe_memo_enabled, stripemod.stripe_memo_enabled),
-        (fsmod.set_path_cache_enabled, fsmod.path_cache_enabled),
-        (schedmod.set_sampled_dequeue_enabled,
-         schedmod.sampled_dequeue_enabled),
-        (set_sync_delta_enabled, sync_delta_enabled),
-        (set_sync_gather_delta_enabled, sync_gather_delta_enabled),
-        (lockmod.set_range_wake_enabled, lockmod.range_wake_enabled),
-        (giftmod.set_gift_quiescence_enabled,
-         giftmod.gift_quiescence_enabled),
-    ]
+    """The acceptance bar: one end-to-end run on the production paths
+    vs every exact oracle at once — bit-identical event trace."""
 
     def test_caches_on_equals_caches_off(self):
-        assert all(get() for _, get in self.TOGGLES)
         cached = _trace(_run_cluster(True, seed=2, n_servers=2))
-        for setter, _ in self.TOGGLES:
-            setter(False)
-        try:
+        with exact():
             uncached = _trace(_run_cluster(True, seed=2, n_servers=2))
-        finally:
-            for setter, _ in self.TOGGLES:
-                setter(True)
         assert cached == uncached
 
     def test_policy_shares_identical_with_cache_disabled(self):
@@ -229,11 +188,8 @@ class TestAllTogglesEquivalence:
                               size=i + 1) for i in range(12)]
         policy = Policy.parse("group-user-size-fair")
         with_cache = policy.shares(population)
-        policymod.set_share_cache_enabled(False)
-        try:
+        with exact("share_cache"):
             without = Policy.parse("group-user-size-fair").shares(population)
-        finally:
-            policymod.set_share_cache_enabled(True)
         assert with_cache == without
         assert isinstance(with_cache[0], float)
         assert np.isclose(sum(with_cache.values()), 1.0)

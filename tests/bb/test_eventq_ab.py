@@ -1,26 +1,18 @@
-"""A/B acceptance: cancellation and the calendar queue are trace-neutral.
+"""A/B acceptance: timer cancellation is trace-neutral.
 
-The same seeded cluster workload is run three ways — cancellation
-disabled (the pre-optimization baseline), cancellation enabled on the
-default heap, and cancellation enabled on the calendar queue — and must
-produce bit-identical sampler traces, clocks, and served-byte totals.
+The same seeded cluster workload is run on the production kernel and on
+the no-op-cancel oracle (every timer fires, the pre-cancellation
+baseline) and must produce bit-identical sampler traces, clocks, and
+served-byte totals.
 """
 
 import pytest
 
 from repro.bb import ClientConfig, Cluster, ClusterConfig, ServerConfig
 from repro.core import JobInfo
-from repro.sim import set_cancel_enabled, set_default_eventq
 from repro.units import GB, MB
 
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_toggles():
-    set_cancel_enabled(True)
-    set_default_eventq(None)
-    yield
-    set_cancel_enabled(True)
-    set_default_eventq(None)
+from ..oracles import exact_unless
 
 
 def _run_cluster(*, seed=0, until=6.0, n_servers=3, n_jobs=4, writes=12):
@@ -55,43 +47,20 @@ def _trace(cluster):
             cluster.engine.now, cluster.total_served_bytes())
 
 
-def _run(*, cancel, eventq, seed):
-    set_cancel_enabled(cancel)
-    set_default_eventq(eventq)
-    try:
+def _run(*, cancel, seed):
+    with exact_unless(cancel, "cancel"):
         return _run_cluster(seed=seed)
-    finally:
-        set_cancel_enabled(True)
-        set_default_eventq(None)
 
 
 class TestCancellationTraceNeutral:
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cancel_on_equals_cancel_off(self, seed):
-        on = _trace(_run(cancel=True, eventq=None, seed=seed))
-        off = _trace(_run(cancel=False, eventq=None, seed=seed))
+        on = _trace(_run(cancel=True, seed=seed))
+        off = _trace(_run(cancel=False, seed=seed))
         assert on == off
 
     def test_cancellation_actually_exercised(self):
         """The neutrality claim is vacuous unless the workload cancels."""
-        cluster = _run(cancel=True, eventq=None, seed=0)
+        cluster = _run(cancel=True, seed=0)
         assert cluster.engine.stats()["cancelled_total"] > 0
 
-
-class TestCalendarTraceNeutral:
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_calendar_equals_heap(self, seed):
-        heap = _trace(_run(cancel=True, eventq=None, seed=seed))
-        calendar = _trace(_run(cancel=True, eventq="calendar", seed=seed))
-        assert heap == calendar
-
-    def test_calendar_queue_actually_selected(self):
-        cluster = _run(cancel=True, eventq="calendar", seed=0)
-        assert cluster.engine.stats()["eventq"] == "CalendarEventQueue"
-
-    def test_three_way_triangle(self):
-        """Baseline, cancel+heap, cancel+calendar: one identical trace."""
-        baseline = _trace(_run(cancel=False, eventq=None, seed=1))
-        heap = _trace(_run(cancel=True, eventq=None, seed=1))
-        calendar = _trace(_run(cancel=True, eventq="calendar", seed=1))
-        assert baseline == heap == calendar

@@ -12,14 +12,12 @@ cluster-quiescence whole-round skip with its content-hash guard.
 import pytest
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
-from repro.bb.controller import (set_sync_delta_enabled,
-                                 set_sync_gather_delta_enabled,
-                                 subtree_height,
-                                 sync_gather_delta_enabled,
-                                 tree_children, tree_order)
+from repro.bb.controller import subtree_height, tree_children, tree_order
 from repro.core import JobInfo
 from repro.errors import ConfigError
 from repro.units import GB, MB
+
+from ..oracles import exact, exact_unless
 
 
 def _run_cluster(*, fanout=0, quiescence=False, seed=0, until=6.0,
@@ -76,13 +74,6 @@ def _trace(cluster):
 def _table_view(server):
     return sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
                   for e in server.monitor.table.snapshot())
-
-
-@pytest.fixture(autouse=True)
-def _restore_toggles():
-    yield
-    set_sync_delta_enabled(True)
-    set_sync_gather_delta_enabled(True)
 
 
 class TestTreeShape:
@@ -192,13 +183,9 @@ class TestGatherDelta:
     per edge)."""
 
     def test_gather_delta_is_trace_neutral(self):
-        assert sync_gather_delta_enabled()
         on = _trace(_run_cluster(seed=4, n_servers=4))
-        set_sync_gather_delta_enabled(False)
-        try:
+        with exact("sync_gather_delta"):
             off = _trace(_run_cluster(seed=4, n_servers=4))
-        finally:
-            set_sync_gather_delta_enabled(True)
         assert on == off
 
     def test_gather_delta_shrinks_flat_gather_payload(self):
@@ -207,11 +194,8 @@ class TestGatherDelta:
         # the pre-seeded idle entries re-confirm as 12-byte summaries
         # instead of 64-byte snapshot rows.
         def measure(flag):
-            set_sync_gather_delta_enabled(flag)
-            try:
+            with exact_unless(flag, "sync_gather_delta"):
                 c = _sync_only_cluster(fanout=0, n_servers=6, n_jobs=12)
-            finally:
-                set_sync_gather_delta_enabled(True)
             stats = c.sync_stats()
             return (c.fabric.bytes_sent, c.fabric.payload_bytes_sent,
                     stats["gather_delta_replies"],
@@ -232,11 +216,8 @@ class TestGatherDelta:
 
     def test_tree_state_identical_gather_delta_on_off(self):
         def run(flag):
-            set_sync_gather_delta_enabled(flag)
-            try:
+            with exact_unless(flag, "sync_gather_delta"):
                 return _sync_only_cluster(fanout=2, n_servers=6, n_jobs=8)
-            finally:
-                set_sync_gather_delta_enabled(True)
 
         on, off = run(True), run(False)
         for name in on.servers:

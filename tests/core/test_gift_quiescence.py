@@ -1,13 +1,12 @@
 """GIFT quiescence forecasting: skipping _allocate on provably-idle
 epoch boundaries must change the skip counter and nothing else —
 bit-identical dispatch traces, budgets, coupons, and epoch bookkeeping
-with the toggle on or off."""
-
-import pytest
+against the exact oracle that allocates on every boundary."""
 
 from repro.core import JobInfo
 from repro.core.baselines import GiftScheduler
-from repro.core.baselines import gift as giftmod
+
+from ..oracles import exact_unless
 
 
 class Req:
@@ -56,30 +55,21 @@ def _drive_bursty(sched, bursts=6, idle_epochs=50):
     return trace
 
 
-@pytest.fixture
-def _restore_toggle():
-    yield
-    giftmod.set_gift_quiescence_enabled(True)
-
-
 def _run(enabled, **kwargs):
-    giftmod.set_gift_quiescence_enabled(enabled)
-    try:
+    with exact_unless(enabled, "gift_quiescence"):
         sched = GiftScheduler(capacity=100.0, mu=1.0)
         trace = _drive_bursty(sched, **kwargs)
-        return trace, sched
-    finally:
-        giftmod.set_gift_quiescence_enabled(True)
+    return trace, sched
 
 
-def test_quiescent_skip_trace_identical(_restore_toggle):
+def test_quiescent_skip_trace_identical():
     trace_on, on = _run(True)
     trace_off, off = _run(False)
     assert trace_on == trace_off
     assert _state(on) == _state(off)
 
 
-def test_skips_happen_and_count_boundaries(_restore_toggle):
+def test_skips_happen_and_count_boundaries():
     trace_on, on = _run(True)
     _, off = _run(False)
     assert on.quiescent_skips > 0
@@ -89,8 +79,7 @@ def test_skips_happen_and_count_boundaries(_restore_toggle):
     assert on.epochs == off.epochs
 
 
-def test_job_set_change_forces_full_allocation(_restore_toggle):
-    giftmod.set_gift_quiescence_enabled(True)
+def test_job_set_change_forces_full_allocation():
     sched = GiftScheduler(capacity=100.0, mu=1.0)
     sched.on_jobs_changed([_job(1), _job(2)], 0.0)
     now = 0.0
@@ -111,8 +100,7 @@ def test_job_set_change_forces_full_allocation(_restore_toggle):
     assert sched.quiescent_skips == 6          # skipping resumes
 
 
-def test_served_traffic_blocks_skip(_restore_toggle):
-    giftmod.set_gift_quiescence_enabled(True)
+def test_served_traffic_blocks_skip():
     sched = GiftScheduler(capacity=100.0, mu=1.0)
     sched.on_jobs_changed([_job(1)], 0.0)
     assert sched.dequeue(0.0) is None

@@ -9,6 +9,8 @@ from repro.core import JobInfo, Policy, QueueSet, StatisticalTokenScheduler
 from repro.core import scheduler as schedmod
 from repro.errors import SchedulerError
 
+from ..oracles import exact, exact_unless
+
 
 @dataclass
 class Req:
@@ -227,15 +229,14 @@ class TestDrawCache:
 
     These tests exercise the exact-path draw cache specifically, so the
     Fenwick-sampled dequeue (which bypasses that cache — its own
-    equivalence tests live in ``TestSampledDequeue``) is switched off
-    around each test.
+    equivalence tests live in ``TestSampledDequeue``) is swapped for its
+    exact oracle around each test.
     """
 
     @pytest.fixture(autouse=True)
     def _exact_path(self):
-        schedmod.set_sampled_dequeue_enabled(False)
-        yield
-        schedmod.set_sampled_dequeue_enabled(True)
+        with exact("sampled_dequeue"):
+            yield
 
     @staticmethod
     def _run(cache, seed=9, steps=15000):
@@ -302,8 +303,7 @@ class TestSampledDequeue:
     def _run(sampled, seed=7, steps=20000, n_jobs=96):
         import random
 
-        schedmod.set_sampled_dequeue_enabled(sampled)
-        try:
+        with exact_unless(sampled, "sampled_dequeue"):
             s = StatisticalTokenScheduler(
                 Policy.parse("size-fair"), np.random.default_rng(seed))
             s.on_jobs_changed(
@@ -325,14 +325,12 @@ class TestSampledDequeue:
                         [job(i, size=(i % 4) + 1)
                          for i in range(step % 17 + 2)], 0.0)
             return choices, s
-        finally:
-            schedmod.set_sampled_dequeue_enabled(True)
 
     def test_sampled_and_exact_sequences_identical(self):
         for seed in (7, 21, 1234):
             sampled, s_on = self._run(True, seed=seed)
-            exact, s_off = self._run(False, seed=seed)
-            assert sampled == exact
+            exact_choices, s_off = self._run(False, seed=seed)
+            assert sampled == exact_choices
             # The sampled run actually used the Fenwick path.
             assert s_on.sampled_draws > 0
             assert s_off.sampled_draws == 0

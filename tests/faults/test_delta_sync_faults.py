@@ -17,18 +17,11 @@ Plus the acceptance-criteria trace check: the availability scenario is
 bit-identical with the encoding on vs. off.
 """
 
-import pytest
-
-from repro.bb import controller as ctlmod
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
 from repro.fs.hashing import ConsistentHashRing
 from repro.units import MB
 
-
-@pytest.fixture(autouse=True)
-def _restore_delta_toggle():
-    yield
-    ctlmod.set_sync_delta_enabled(True)
+from ..oracles import exact_unless
 
 
 def _one_write(cluster, client, path):
@@ -46,16 +39,16 @@ def _table_view(server):
 
 class TestCrashRestartResync:
     def _run(self, make_cluster, job, delta):
-        ctlmod.set_sync_delta_enabled(delta)
-        cluster = make_cluster(n_servers=3, sync_interval=0.1,
-                               sync_timeout=0.1)
-        plan = FaultPlan([ServerCrash("bb1", at=0.8, restart_at=1.2)])
-        FaultInjector(cluster, plan).arm()
-        for i in range(3):
-            client = cluster.add_client(job(i + 1, user=f"u{i}"),
-                                        client_id=f"c{i}")
-            _one_write(cluster, client, f"/fs/d/f{i}")
-        cluster.run(until=3.0)
+        with exact_unless(delta, "sync_delta"):
+            cluster = make_cluster(n_servers=3, sync_interval=0.1,
+                                   sync_timeout=0.1)
+            plan = FaultPlan([ServerCrash("bb1", at=0.8, restart_at=1.2)])
+            FaultInjector(cluster, plan).arm()
+            for i in range(3):
+                client = cluster.add_client(job(i + 1, user=f"u{i}"),
+                                            client_id=f"c{i}")
+                _one_write(cluster, client, f"/fs/d/f{i}")
+            cluster.run(until=3.0)
         return cluster
 
     def test_restart_forces_full_table_resync(self, make_cluster, job):
@@ -86,9 +79,6 @@ class TestCrashRestartResync:
 
 class TestPartitionHeal:
     def _run(self, make_cluster, job, delta):
-        ctlmod.set_sync_delta_enabled(delta)
-        cluster = make_cluster(n_servers=2, sync_interval=0.1,
-                               sync_timeout=0.1)
         ring = ConsistentHashRing(["bb0", "bb1"])
         pinned = {}
         i = 0
@@ -96,14 +86,17 @@ class TestPartitionHeal:
             path = f"/fs/d/pin-{i}"
             pinned.setdefault(ring.lookup(path), path)
             i += 1
-        plan = FaultPlan([LinkFault(start=0.0, stop=1.0, a="bb0", b="bb1",
-                                    drop_prob=1.0)])
-        FaultInjector(cluster, plan).arm()
-        c1 = cluster.add_client(job(1, user="alice"), client_id="c1")
-        c2 = cluster.add_client(job(2, user="bob"), client_id="c2")
-        _one_write(cluster, c1, pinned["bb0"])
-        _one_write(cluster, c2, pinned["bb1"])
-        cluster.run(until=2.5)
+        with exact_unless(delta, "sync_delta"):
+            cluster = make_cluster(n_servers=2, sync_interval=0.1,
+                                   sync_timeout=0.1)
+            plan = FaultPlan([LinkFault(start=0.0, stop=1.0, a="bb0",
+                                        b="bb1", drop_prob=1.0)])
+            FaultInjector(cluster, plan).arm()
+            c1 = cluster.add_client(job(1, user="alice"), client_id="c1")
+            c2 = cluster.add_client(job(2, user="bob"), client_id="c2")
+            _one_write(cluster, c1, pinned["bb0"])
+            _one_write(cluster, c2, pinned["bb1"])
+            cluster.run(until=2.5)
         return cluster
 
     def test_heal_reconverges_without_stale_deltas(self, make_cluster, job):
@@ -134,9 +127,10 @@ class TestAvailabilityScenarioEquivalence:
         from repro.harness.experiments import availability_outage
 
         def run(delta):
-            ctlmod.set_sync_delta_enabled(delta)
-            out = availability_outage(n_jobs=3, n_servers=2, duration=4.0,
-                                      crash_at=1.5, restart_at=2.5, seed=0)
+            with exact_unless(delta, "sync_delta"):
+                out = availability_outage(n_jobs=3, n_servers=2,
+                                          duration=4.0, crash_at=1.5,
+                                          restart_at=2.5, seed=0)
             s = out.result.cluster.sampler
             return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
                     out.recovery_time, out.jain_before, out.jain_during,
@@ -145,30 +139,19 @@ class TestAvailabilityScenarioEquivalence:
         assert run(True) == run(False)
 
     def test_availability_trace_identical_all_scale_toggles(self):
-        """All four ISSUE-5 kernels at once, under the fault scenario."""
-        from repro.core import scheduler as schedmod
-        from repro.core.baselines import gift as giftmod
-        from repro.fs import locking as lockmod
+        """The four scale-regime fast paths at once, under the fault
+        scenario, against their exact oracles."""
         from repro.harness.experiments import availability_outage
 
-        toggles = [schedmod.set_sampled_dequeue_enabled,
-                   ctlmod.set_sync_delta_enabled,
-                   lockmod.set_range_wake_enabled,
-                   giftmod.set_gift_quiescence_enabled]
-
-        def run(flag):
-            for setter in toggles:
-                setter(flag)
-            try:
+        def run(fast):
+            with exact_unless(fast, "sampled_dequeue", "sync_delta",
+                              "range_wake", "gift_quiescence"):
                 out = availability_outage(n_jobs=3, n_servers=2,
                                           duration=4.0, crash_at=1.5,
                                           restart_at=2.5, seed=0)
-                s = out.result.cluster.sampler
-                return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
-                        out.recovery_time, out.jain_before,
-                        out.jain_during, out.jain_after)
-            finally:
-                for setter in toggles:
-                    setter(True)
+            s = out.result.cluster.sampler
+            return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
+                    out.recovery_time, out.jain_before,
+                    out.jain_during, out.jain_after)
 
         assert run(True) == run(False)

@@ -3,30 +3,18 @@ crashes and partitions.
 
 Timeout/retry/failover paths are where cancellation earns its keep —
 and where a subtly wrong skip or compaction would shuffle the trace.
-The same faulted workload must be digest-identical on the heap and the
-calendar queue, and with cancellation on and off.
+The same faulted workload must be digest-identical on the production
+kernel and on the no-op-cancel oracle.
 """
 
-import pytest
-
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
-from repro.sim import set_cancel_enabled, set_default_eventq
 from repro.units import MB
 
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_toggles():
-    set_cancel_enabled(True)
-    set_default_eventq(None)
-    yield
-    set_cancel_enabled(True)
-    set_default_eventq(None)
+from ..oracles import exact_unless
 
 
-def _faulted_run(make_cluster, job, *, eventq, cancel=True, seed=0):
-    set_cancel_enabled(cancel)
-    set_default_eventq(eventq)
-    try:
+def _faulted_run(make_cluster, job, *, cancel=True, seed=0):
+    with exact_unless(cancel, "cancel"):
         cluster = make_cluster(n_servers=3, seed=seed, rpc_retries=-1)
         plan = FaultPlan([
             ServerCrash("bb1", at=0.4, restart_at=1.2),
@@ -47,10 +35,7 @@ def _faulted_run(make_cluster, job, *, eventq, cancel=True, seed=0):
             client = cluster.add_client(job(idx + 1), client_id=f"c{idx}")
             cluster.engine.process(app(client, idx))
         cluster.run(until=6.0)
-        return cluster, done
-    finally:
-        set_cancel_enabled(True)
-        set_default_eventq(None)
+    return cluster, done
 
 
 def _digest(cluster, done):
@@ -63,23 +48,15 @@ def _digest(cluster, done):
             cluster.total_served_bytes())
 
 
-def test_calendar_equals_heap_under_faults(make_cluster, job):
-    heap = _digest(*_faulted_run(make_cluster, job, eventq=None))
-    cal = _digest(*_faulted_run(make_cluster, job, eventq="calendar"))
-    assert heap == cal
-
-
 def test_cancel_toggle_neutral_under_faults(make_cluster, job):
-    on = _digest(*_faulted_run(make_cluster, job, eventq=None, cancel=True))
-    off = _digest(*_faulted_run(make_cluster, job, eventq=None, cancel=False))
+    on = _digest(*_faulted_run(make_cluster, job, cancel=True))
+    off = _digest(*_faulted_run(make_cluster, job, cancel=False))
     assert on == off
 
 
 def test_faulted_run_cancels_and_completes(make_cluster, job):
-    """Sanity for the pair above: the scenario exercises the machinery
+    """Sanity for the test above: the scenario exercises the machinery
     (expiry timers get cancelled) and the workload still finishes."""
-    cluster, done = _faulted_run(make_cluster, job, eventq="calendar")
+    cluster, done = _faulted_run(make_cluster, job)
     assert sorted(done) == [0, 1, 2]
-    stats = cluster.engine.stats()
-    assert stats["eventq"] == "CalendarEventQueue"
-    assert stats["cancelled_total"] > 0
+    assert cluster.engine.stats()["cancelled_total"] > 0

@@ -20,18 +20,10 @@ completes. Covered here:
   tables with the delta encodings on vs. off.
 """
 
-import pytest
-
-from repro.bb import controller as ctlmod
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
 from repro.units import MB
 
-
-@pytest.fixture(autouse=True)
-def _restore_toggles():
-    yield
-    ctlmod.set_sync_delta_enabled(True)
-    ctlmod.set_sync_gather_delta_enabled(True)
+from ..oracles import exact_unless
 
 
 def _one_write(cluster, client, path):
@@ -56,17 +48,16 @@ def _assert_converged(cluster):
 
 def _run_crash(make_cluster, job, crashed, *, n_servers=7, fanout=2,
                delta=True, until=3.0):
-    ctlmod.set_sync_delta_enabled(delta)
-    ctlmod.set_sync_gather_delta_enabled(delta)
-    cluster = make_cluster(n_servers=n_servers, sync_interval=0.1,
-                           sync_timeout=0.1, sync_tree_fanout=fanout)
-    plan = FaultPlan([ServerCrash(crashed, at=0.75, restart_at=1.25)])
-    FaultInjector(cluster, plan).arm()
-    for i in range(3):
-        client = cluster.add_client(job(i + 1, user=f"u{i}"),
-                                    client_id=f"c{i}")
-        _one_write(cluster, client, f"/fs/d/f{i}")
-    cluster.run(until=until)
+    with exact_unless(delta, "sync_delta"):
+        cluster = make_cluster(n_servers=n_servers, sync_interval=0.1,
+                               sync_timeout=0.1, sync_tree_fanout=fanout)
+        plan = FaultPlan([ServerCrash(crashed, at=0.75, restart_at=1.25)])
+        FaultInjector(cluster, plan).arm()
+        for i in range(3):
+            client = cluster.add_client(job(i + 1, user=f"u{i}"),
+                                        client_id=f"c{i}")
+            _one_write(cluster, client, f"/fs/d/f{i}")
+        cluster.run(until=until)
     return cluster
 
 
@@ -104,7 +95,6 @@ class TestInteriorCrash:
     # epoch 12 lands at t=1.2 < 1.25. Use a window that dodges it.
     def test_interior_crash_degrades_only_its_subtree(self, make_cluster,
                                                       job):
-        ctlmod.set_sync_delta_enabled(True)
         cluster = make_cluster(n_servers=7, sync_interval=0.1,
                                sync_timeout=0.1, sync_tree_fanout=2)
         # Crash bb6 across epochs 8..11 (roots bb1..bb4): bb6 is interior
@@ -153,21 +143,20 @@ class TestSubtreeResync:
 
 class TestPartitionMidRound:
     def _run(self, make_cluster, job, delta):
-        ctlmod.set_sync_delta_enabled(delta)
-        ctlmod.set_sync_gather_delta_enabled(delta)
-        cluster = make_cluster(n_servers=5, sync_interval=0.1,
-                               sync_timeout=0.1, sync_tree_fanout=2)
-        # Cut bb4 off from every peer for a window covering several
-        # epochs: whichever edge reaches it, the pull times out, the
-        # parent's scatter skips the edge, and the epochs degrade.
-        cuts = [LinkFault(start=0.55, stop=1.05, a=f"bb{i}", b="bb4",
-                          drop_prob=1.0) for i in range(4)]
-        FaultInjector(cluster, FaultPlan(cuts)).arm()
-        for i in range(3):
-            client = cluster.add_client(job(i + 1, user=f"u{i}"),
-                                        client_id=f"c{i}")
-            _one_write(cluster, client, f"/fs/d/f{i}")
-        cluster.run(until=3.0)
+        with exact_unless(delta, "sync_delta"):
+            cluster = make_cluster(n_servers=5, sync_interval=0.1,
+                                   sync_timeout=0.1, sync_tree_fanout=2)
+            # Cut bb4 off from every peer for a window covering several
+            # epochs: whichever edge reaches it, the pull times out, the
+            # parent's scatter skips the edge, and the epochs degrade.
+            cuts = [LinkFault(start=0.55, stop=1.05, a=f"bb{i}", b="bb4",
+                              drop_prob=1.0) for i in range(4)]
+            FaultInjector(cluster, FaultPlan(cuts)).arm()
+            for i in range(3):
+                client = cluster.add_client(job(i + 1, user=f"u{i}"),
+                                            client_id=f"c{i}")
+                _one_write(cluster, client, f"/fs/d/f{i}")
+            cluster.run(until=3.0)
         return cluster
 
     def test_heal_reconverges_the_cut_subtree(self, make_cluster, job):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import FSError
 from repro.fs import MetadataLockTable, RangeLockTable
-from repro.fs import locking as lockmod
+
+from ..oracles import exact_unless
 
 
 class TestRangeLocks:
@@ -144,14 +145,11 @@ class TestWaiterIndex:
         return t
 
     def _run_release(self, indexed):
-        lockmod.set_waiter_index_enabled(indexed)
-        try:
+        with exact_unless(indexed, "waiter_index"):
             _Waiter.log = []
             t = self._contended_scenario()
             t.unlock_write(1, "holder")
             return list(_Waiter.log)
-        finally:
-            lockmod.set_waiter_index_enabled(True)
 
     def test_index_on_off_produce_identical_wake_trace(self):
         # Overlapping + unranged + wildcard wake, in arrival order; the
@@ -188,14 +186,6 @@ class TestWaiterIndex:
         _Waiter.log = []
         t.unlock_write(1, "h2")
         assert _Waiter.log == ["again"]
-
-    def test_index_toggle_roundtrip(self):
-        assert lockmod.waiter_index_enabled()
-        lockmod.set_waiter_index_enabled(False)
-        try:
-            assert not lockmod.waiter_index_enabled()
-        finally:
-            lockmod.set_waiter_index_enabled(True)
 
 
 class TestMetadataLocks:

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, cancel_enabled, set_cancel_enabled
+from repro.sim import Engine
 
-
-@pytest.fixture(autouse=True)
-def _cancel_on():
-    set_cancel_enabled(True)
-    yield
-    set_cancel_enabled(True)
+from ..oracles import exact
 
 
 # -------------------------------------------------------------- semantics
@@ -64,11 +59,10 @@ def test_toggle_off_is_noop():
     fired = []
     t = eng.timeout(1.0)
     t.callbacks.append(lambda ev: fired.append(eng.now))
-    set_cancel_enabled(False)
-    assert not cancel_enabled()
-    assert t.cancel() is False
-    assert not t.cancelled
-    eng.run()
+    with exact("cancel"):
+        assert t.cancel() is False
+        assert not t.cancelled
+        eng.run()
     assert fired == [1.0]  # baseline semantics: the timer still fires
 
 
@@ -106,7 +100,6 @@ def test_stats_census_counts():
     for t in dead:
         t.cancel()
     s = eng.stats()
-    assert s["eventq"] == "heap"
     assert s["pending"] == 11
     assert s["dead_pending"] == 10
     assert s["live_pending"] == 1
@@ -261,9 +254,9 @@ def test_ticker_stop_with_cancel_disabled_still_stops():
     ticks = []
     ticker = eng.every(1.0, lambda: ticks.append(eng.now))
     eng.run(until=1.5)
-    set_cancel_enabled(False)
-    ticker.stop()
-    eng.run(until=6.0)
+    with exact("cancel"):
+        ticker.stop()
+        eng.run(until=6.0)
     # The abandoned sleep fires as a detached no-op; no further ticks.
     assert ticks == [1.0]
     assert ticker.processed
