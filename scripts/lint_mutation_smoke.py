@@ -6,9 +6,9 @@ regressions they exist for. This script copies ``src/`` to a temp
 directory, seeds one defect at a time, and asserts the lint run fails
 with the expected rule:
 
-* ``proto``: disable the ``tpull`` branch of
-  ``Controller.handle_sync`` (simulates deleting a tree-sync handler)
-  -> PROTO101 on every tpull send site.
+* ``proto``: disable the ``pull`` branch of
+  ``Controller.handle_sync`` (simulates deleting a λ-sync handler)
+  -> PROTO101 on every pull send site.
 
 Each mutation is a textual anchor replacement; if an anchor stops
 matching after a refactor the script fails loudly rather than passing
@@ -31,12 +31,12 @@ CONTROLLER = os.path.join("repro", "bb", "controller.py")
 
 MUTATIONS = [
     {
-        "name": "delete tree-sync handler branch",
+        "name": "delete λ-sync handler branch",
         "file": CONTROLLER,
-        "anchor": 'elif kind == "tpull":',
-        "replacement": 'elif kind == "tpull-disabled":',
+        "anchor": 'if kind == "pull":',
+        "replacement": 'if kind == "pull-disabled":',
         "expect_rule": "PROTO101",
-        "expect_fragment": "tpull",
+        "expect_fragment": "pull",
     },
 ]
 

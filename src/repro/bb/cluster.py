@@ -191,11 +191,11 @@ class Cluster:
     def sync_digest_log(self) -> list:
         """Merged-table digests per sync epoch, cluster-wide.
 
-        Each λ-sync epoch is driven by one rotating coordinator (flat)
-        or root (tree), which logs ``(epoch, digest)``; collecting and
-        sorting across servers yields the per-epoch digest sequence —
-        the flat and tree layouts must produce identical sequences for
-        the same workload (DESIGN.md §13).
+        Each λ-sync epoch is driven by one rotating root, which logs
+        ``(epoch, digest)``; collecting and sorting across servers
+        yields the per-epoch digest sequence — every tree fanout must
+        produce the identical sequence for the same workload
+        (DESIGN.md §13).
         """
         log: list = []
         for server in self.servers.values():
@@ -203,11 +203,11 @@ class Cluster:
         return sorted(log)
 
     def sync_stats(self) -> Dict[str, int]:
-        """Cluster-wide λ-sync counters, plus the peak coordinator/root
+        """Cluster-wide λ-sync counters, plus the peak root
         inbound gather bytes per epoch-driving node (the fan-in hotspot
         the aggregation tree exists to flatten)."""
         totals = {
-            "sync_rounds": 0, "coordinated_rounds": 0, "tree_rounds": 0,
+            "sync_rounds": 0, "coordinated_rounds": 0,
             "degraded_rounds": 0, "delta_pushes": 0, "full_pushes": 0,
             "gather_delta_replies": 0, "gather_full_replies": 0,
             "quiescent_skips": 0, "quiescent_replies": 0,

@@ -16,44 +16,39 @@ policy even when files live on disjoint servers.
 
 λ-delayed fairness: every ``sync_interval`` seconds the servers
 synchronise over the server↔server UCP workers (the all-gather of
-§3.1). Three wire protocols implement it:
+§3.1) in one gather→merge→scatter round per epoch, run over a
+deterministic aggregation tree:
 
-- **batched** (the default, ``ServerConfig.batched_sync``): each sync
-  epoch one *coordinator* — rotating by epoch index over the sorted
-  member names, so no server is a single point of coordination — pulls
-  every peer's snapshot, merges them, and scatters the merged table
-  plus the placement map back out: one gather→merge→scatter round per
-  epoch, ``2·(N-1)`` request/response pairs cluster-wide instead of the
-  pairwise exchange's ``N·(N-1)``. The push carries a content hash of
-  the merged state; a peer whose previous push had the same hash skips
-  the merge and token refresh entirely (the skip is trace-neutral: the
-  wire traffic and simulated timing are identical, only the redundant
-  host-side work is elided).
-- **tree** (``ServerConfig.sync_tree_fanout >= 2``): the batched round
-  restructured as a deterministic k-ary aggregation tree over the same
-  rotated member order. The epoch's root pulls only its k children;
-  each interior node recursively pulls *its* children, merges the
-  subtree's tables, and replies the aggregate, so per-node peak fan-in
-  drops from N−1 to k and the root's inbound bytes stop scaling with
-  N. The scatter reuses the same edges top-down: each node forwards
-  the merged global table to exactly the children that answered its
-  gather, delta-encoded per edge against what that child provably
-  holds. A crash, restart, or partition on one edge degrades (and
-  later full-table-resyncs) only the subtree hanging off that edge.
-- **pairwise** (``batched_sync=False``, the original protocol): every
-  server exchanges snapshots with every peer each round; each exchange
-  is a request/response pair where the peer merges our snapshot and
-  replies with its own.
+- **shape**: each epoch's members are rotated by epoch index over the
+  sorted member names, so the root changes every epoch and no server is
+  a single point of coordination. ``ServerConfig.sync_tree_fanout`` sets
+  the branching factor; 0 (the default) is the one-level tree, where
+  every peer is a direct child of the root (``2·(N-1)`` request/response
+  pairs per epoch), and k >= 2 lays the members out as a complete k-ary
+  tree, bounding per-node fan-in by k.
+- **gather**: the root pulls its children; a child first pulls *its*
+  children (in member-name order), merges its subtree's tables, and
+  replies the aggregate with the placement (which jobs each server
+  hosts) its subtree reported.
+- **scatter**: the merged table and placement map walk the same edges
+  top-down. Each node forwards to exactly the children that answered
+  its gather and acks its parent only once its forwards complete. The
+  push carries a content hash; a node whose previous push had the same
+  hash skips the merge and token refresh (trace-neutral: the wire
+  traffic and simulated timing are identical).
 
-Delta encoding runs in *both* directions of the batched/tree rounds:
-scatter pushes omit entries the receiver echoed with an equal-or-newer
-heartbeat (PR 5), and gather replies omit entries the requester has
-confirmed applying from this responder before — the per-peer basis is
-an opaque token minted with each reply and echoed back in the next
-probe, so a lost reply or a crash on either side falls back to a full
-snapshot (see DESIGN.md §13). Omitted gather entries still ship a
-compact ``(job_id, heartbeat)`` summary so the requester's scatter
-deltas keep an exact picture of what the responder holds.
+A crash, restart or partition on one edge degrades (and later
+full-table-resyncs) only the subtree hanging off that edge.
+
+Delta encoding runs in both directions: scatter pushes omit entries the
+receiver echoed with an equal-or-newer heartbeat, and gather replies
+omit entries the requester has confirmed applying from this responder
+before — the per-peer basis is an opaque token minted with each reply
+and echoed back in the next probe, so a lost reply or a crash on either
+side falls back to a full snapshot (see DESIGN.md §13). Omitted gather
+entries still ship a compact ``(job_id, heartbeat)`` summary so the
+requester's scatter deltas keep an exact picture of what the responder
+holds.
 """
 
 from __future__ import annotations
@@ -106,7 +101,7 @@ def tree_order(members: List[str], epoch: int) -> List[str]:
     """The epoch's member order: root first, rotated by epoch index.
 
     Rotation (rather than re-sorting under a different key) keeps the
-    root schedule identical to the flat round's coordinator schedule:
+    root schedule independent of the fanout:
     ``tree_order(members, e)[0] == members[e % N]``.
     """
     root = epoch % len(members)
@@ -145,12 +140,15 @@ class Controller:
         self.sync_interval = float(sync_interval)
         # Peer wiring is lazy: addresses arrive via connect_peers, RPC
         # clients (and their UCP workers) materialise on first use. At
-        # N=1024 the flat wiring would mint ~N² workers cluster-wide;
-        # the tree only ever touches O(k) edges per node per epoch.
+        # N=1024 eager all-to-all wiring would mint ~N² workers
+        # cluster-wide; a k-ary tree only ever touches O(k) edges per
+        # node per epoch.
         # Worker creation has no simulation side effects, so laziness
         # is trace-neutral.
         self._peer_addrs: Dict[str, Address] = {}
         self._peers: Dict[str, RpcClient] = {}
+        #: sorted member names, self included (the epoch tree's input).
+        self._members: List[str] = [server.name]
         #: which jobs each server hosts, learned via sync (self included).
         self.presence: Dict[str, Set[int]] = {}
         self._table_version_seen = -1
@@ -158,7 +156,7 @@ class Controller:
         self.sync_rounds = 0
         #: rounds completed on a partial table (some peer timed out).
         self.degraded_rounds = 0
-        #: epochs this controller drove as the rotating coordinator/root.
+        #: epochs this controller drove as the rotating root.
         self.coordinated_rounds = 0
         #: pushes applied as a no-op via the content-hash short circuit.
         self.push_hash_skips = 0
@@ -196,8 +194,6 @@ class Controller:
         self.quiescent_skips = 0
         #: probe-sized "same" replies sent instead of a snapshot.
         self.quiescent_replies = 0
-        #: epochs driven as the root of the aggregation tree.
-        self.tree_rounds = 0
         #: tree pushes forwarded as full tables because the same-epoch
         #: gather basis for that child was lost (subtree resync).
         self.subtree_full_pushes = 0
@@ -205,14 +201,14 @@ class Controller:
         #: hotspot metric) vs. as an interior relay.
         self.coord_gather_payload_bytes = 0
         self.relay_gather_payload_bytes = 0
-        #: peak number of gather replies awaited at once (flat: N−1;
-        #: tree: bounded by the branching factor).
+        #: peak number of gather replies awaited at once (one level:
+        #: N−1; k-ary: bounded by the branching factor).
         self.max_gather_fanin = 0
         #: (epoch, merged-table digest) per round driven from here.
         self.digest_log: Deque[Tuple[int, str]] = deque(maxlen=4096)
         # Per-epoch gather bookkeeping of an interior tree node:
-        # child name -> (seen map, child basis, child wants full),
-        # consumed when the matching push arrives to forward down.
+        # child name -> (edge timeout, (seen map, child basis, child
+        # wants full)), consumed when the matching push arrives to forward down.
         self._tree_gather: Dict[int, dict] = {}
         self._sync_process = None
 
@@ -226,7 +222,7 @@ class Controller:
         self._presence_seen = {}
         self._last_push_hash = None
         # Invalidate any in-flight delta computed against the old state
-        # and ask the next coordinator for the full table.
+        # and ask the next parent for the full table.
         self._sync_basis += 1
         self._needs_full_sync = True
         # Both gather-delta ledgers die with the state they describe:
@@ -282,6 +278,7 @@ class Controller:
             if name == self.server.name:
                 continue
             self._peer_addrs[name] = address
+        self._members = sorted([self.server.name, *self._peer_addrs])
         if self._peer_addrs and self.sync_interval > 0 \
                 and self._sync_process is None:
             self._sync_process = engine.process(self._sync_loop())
@@ -294,138 +291,159 @@ class Controller:
             self._peers[name] = client
         return client
 
-    def _members(self) -> List[str]:
-        return sorted([self.server.name, *self._peer_addrs])
-
     @property
     def peer_names(self) -> List[str]:
         return sorted(self._peer_addrs)
 
     # ------------------------------------------------------------------ sync
-    def _payload(self) -> dict:
-        monitor = self.server.monitor
-        return {
-            "entries": monitor.table.snapshot(),
-            "host": self.server.name,
-            "host_jobs": sorted(monitor.active_local_jobs()),
-            # Delta-encoding handshake (consumed by the batched
-            # coordinator; ignored by the pairwise protocol).
-            "basis": self._sync_basis,
-            "full": self._needs_full_sync,
-        }
-
     def _sync_loop(self):
         engine = self.server.engine
         epoch = 1
         while True:
-            if self.server.config.batched_sync:
-                # Epoch-aligned cadence: every server wakes at the same
-                # absolute times k·λ, so the epoch index — and with it
-                # the rotating coordinator — agrees cluster-wide even
-                # when individual rounds overrun.
-                target = epoch * self.sync_interval
-                if target > engine.now:
-                    yield engine.timeout(target - engine.now)
-                if not self.server.crashed:
-                    if self.server.config.sync_tree_fanout >= 2:
-                        yield from self._tree_round(epoch)
-                    else:
-                        yield from self._batched_round(epoch)
-                # Skip past any epochs the round overran (strictly
-                # increasing, so the loop can never spin in place).
-                epoch = max(epoch + 1,
-                            int(engine.now / self.sync_interval) + 1)
-            else:
-                yield engine.timeout(self.sync_interval)
-                if self.server.crashed:
-                    # A crashed server exchanges nothing; the loop idles
-                    # until restart and then resumes the λ cadence.
-                    continue
-                yield from self._pairwise_round()
+            # Epoch-aligned cadence: every server wakes at the same
+            # absolute times k·λ, so the epoch index — and with it the
+            # rotating root — agrees cluster-wide even when individual
+            # rounds overrun.
+            target = epoch * self.sync_interval
+            if target > engine.now:
+                yield engine.timeout(target - engine.now)
+            if not self.server.crashed:
+                yield from self._tree_round(epoch)
+            # Skip past any epochs the round overran (strictly
+            # increasing, so the loop can never spin in place).
+            epoch = max(epoch + 1, int(engine.now / self.sync_interval) + 1)
 
-    # ------------------------------------------------------- batched protocol
-    def _batched_round(self, epoch: int):
-        """One gather→merge→scatter epoch, if we are its coordinator."""
-        members = self._members()
+    def _children(self, epoch: int) -> List[Tuple[str, Optional[float]]]:
+        """Our tree edges in *epoch*: ``(child, rpc_timeout)`` pairs in
+        member-name order.
+
+        Each edge's RPC budget scales with the child's subtree depth: a
+        pull cannot complete before the child's whole subtree answered.
+        """
+        order = tree_order(self._members, epoch)
+        n = len(order)
+        fanout = self.server.config.sync_tree_fanout or max(1, n - 1)
+        kids = sorted(tree_children(n, fanout, order.index(self.server.name)),
+                      key=order.__getitem__)
+        t = self.server.config.sync_timeout
+        return [(order[cp], t * (1.0 + subtree_height(n, fanout, cp))
+                 if t > 0 else None) for cp in kids]
+
+    def _tree_round(self, epoch: int):
+        """One gather→merge→scatter epoch, if we are its rotating root.
+
+        Interior nodes answer the gather through :meth:`_answer_tree_pull`
+        and forward the scatter through :meth:`_apply_tree_push`; every
+        fan-out reuses :meth:`_gather` and :meth:`_scatter`.
+        """
+        members = self._members
         if members[epoch % len(members)] != self.server.name:
             return
         self.coordinated_rounds += 1
-        timeout = self.server.config.sync_timeout
-        timeout = timeout if timeout > 0 else None
-
-        # Gather: probe every peer for its snapshot, harvest in name
-        # order; a silent peer costs at most `timeout` and the round
+        # A silent child costs at most its edge timeout and the round
         # proceeds on the partial table (degraded mode).
         qhash, pre_map = self._quiescence_state()
+        gather, _, degraded, all_same = yield from self._gather(
+            epoch, self._children(epoch), qhash, pre_map, root=True)
+        if qhash is not None and all_same:
+            # Every subtree proved (by content hash) it already holds
+            # exactly the state a merge+scatter would reproduce: skip
+            # the whole round. Merged content is by definition qhash.
+            self._quiescent_finish(epoch, qhash, degraded)
+            return
+        entries, presence = self._merged_view()
+        digest = _content_hash(entries, presence)
+        self.digest_log.append((epoch, digest))
+        lost_acks = yield from self._scatter(epoch, gather, entries,
+                                             presence, digest)
+        if degraded or lost_acks:
+            self._note_degraded()
+        self._last_push_hash = digest
+        self.sync_rounds += 1
+        self.refresh_tokens()
+
+    def _gather(self, epoch: int, children, qhash, pre_map, root: bool):
+        """Pull every child's subtree aggregate and merge it in.
+
+        Returns ``(gather, subtree, degraded, all_same)``: per answering
+        child its edge timeout and the basis of its scatter delta
+        ``(seen, basis, wants_full)``, the placement its subtree
+        reported, whether any child stayed silent, and whether every
+        answer was a quiescent "same".
+        """
+        self.max_gather_fanin = max(self.max_gather_fanin, len(children))
         pulls = []
-        for name in sorted(self._peer_addrs):
-            probe = {"kind": "pull", "host": self.server.name,
+        for name, timeout in children:
+            probe = {"kind": "pull", "epoch": epoch,
+                     "host": self.server.name,
                      "have": self._have_basis.get(name), "qhash": qhash}
-            pulls.append((name, self._peer(name).call(
+            pulls.append((name, timeout, self._peer(name).call(
                 "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout)))
-        self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
+        gather: Dict[str, tuple] = {}
+        subtree: Dict[str, List[int]] = {}
         degraded = False
         all_same = True
-        responders: List[tuple] = []
-        for name, call in pulls:
+        for name, timeout, call in pulls:
             try:
                 resp = yield call
             except RpcTimeout:
                 degraded = True
                 continue
             if resp.get("same"):
-                self.coord_gather_payload_bytes += _PROBE_WIRE_BYTES
-                responders.append((name, resp, pre_map))
-                continue
-            all_same = False
-            seen, wire = self._harvest_reply(name, resp)
-            self.coord_gather_payload_bytes += wire
-            responders.append((name, resp, seen))
+                wire = _PROBE_WIRE_BYTES
+                gather[name] = (timeout, (pre_map, resp["basis"], False))
+            else:
+                all_same = False
+                seen, wire = self._harvest_reply(name, resp)
+                subtree.update(resp["presence"])
+                gather[name] = (timeout, (seen, resp["basis"], resp["full"]))
+            if root:
+                self.coord_gather_payload_bytes += wire
+            else:
+                self.relay_gather_payload_bytes += wire
+        return gather, subtree, degraded, all_same
 
-        if qhash is not None and all_same:
-            # Every responder proved (by content hash) it already holds
-            # exactly the state a merge+scatter would reproduce: skip
-            # the whole round. Merged content is by definition qhash.
-            self._quiescent_finish(epoch, qhash, degraded)
-            return
+    def _scatter(self, epoch: int, gather, entries, presence, digest: str):
+        """Push the merged state down the edges in *gather* (child ->
+        ``(timeout, delta basis)``); True if an ack was lost.
 
-        # Scatter: the merged table + placement map, stamped with a
-        # content hash so unchanged state costs the peers nothing. With
-        # delta encoding on, each responder's push body carries only the
-        # entries that responder lacks (judged against the snapshot —
-        # or omitted-entry summary — it just replied with); the nominal
-        # wire size — and therefore all simulated timing — still covers
-        # the full table, so the two encodings are trace-identical and
-        # the saving shows up only in the fabric's payload_bytes_sent
-        # accounting.
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        digest = _content_hash(entries, presence)
-        self.digest_log.append((epoch, digest))
+        A child that never answered this epoch's pull (crash/partition
+        on the edge) is not in *gather*: it holds no basis for a delta
+        and a full push would race its recovery, so it is skipped — a
+        later epoch's reshaped tree resyncs it. With delta encoding the
+        nominal wire size — and so all simulated timing — still covers
+        the full table; the saving shows up only in the fabric's payload
+        accounting.
+        """
         size = _ENTRY_WIRE_BYTES * max(1, len(entries))
         acks = []
-        for name, resp, seen in responders:
+        for name, (timeout, edge) in gather.items():
             push, wire = self._encode_push(entries, presence, digest,
-                                           resp, seen)
-            acks.append((name, self._peer(name).call(
+                                           epoch, edge)
+            acks.append(self._peer(name).call(
                 "sync", push, size=size, timeout=timeout,
-                payload_bytes=wire)))
-        for name, call in acks:
+                payload_bytes=wire))
+        lost = False
+        for call in acks:
             try:
                 yield call
             except RpcTimeout:
-                degraded = True
+                lost = True
+        return lost
 
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-        self._last_push_hash = digest
-        self.sync_rounds += 1
-        self.refresh_tokens()
+    def _merged_view(self):
+        """``(entries, presence)``: our table and placement map as a
+        push carries them."""
+        monitor = self.server.monitor
+        self.presence[self.server.name] = monitor.active_local_jobs()
+        presence = {host: sorted(jobs)
+                    for host, jobs in self.presence.items()}
+        return monitor.table.snapshot(), presence
+
+    def _note_degraded(self) -> None:
+        self.degraded_rounds += 1
+        if self.server.fault_stats is not None:
+            self.server.fault_stats.degraded_sync_rounds += 1
 
     def _quiescence_state(self):
         """``(qhash, pre_map)`` when this round is allowed to quiesce.
@@ -469,9 +487,7 @@ class Controller:
         self.quiescent_skips += 1
         self.digest_log.append((epoch, qhash))
         if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
+            self._note_degraded()
         self._last_push_hash = qhash
         self.sync_rounds += 1
         self.refresh_tokens()
@@ -482,26 +498,25 @@ class Controller:
         Returns ``(seen, wire)``: the exact content map the responder
         holds — delta entries plus the omitted-entry summaries, the
         basis for this responder's scatter delta — and the reply's
-        effective wire bytes for the fan-in accounting.
+        effective wire bytes for the fan-in accounting (mirroring the
+        payload_bytes the responder attached).
         """
-        self.server.monitor.table.merge(resp["entries"])
-        pres = resp.get("presence")
-        if pres is not None:
-            # Tree replies aggregate a whole subtree's placement.
-            for host, jobs in pres.items():
-                if host != self.server.name:
-                    self.presence[host] = set(jobs)
-        else:
-            self.presence[resp["host"]] = set(resp["host_jobs"])
-        seen = {e["info"].job_id: e["last_heartbeat"]
-                for e in resp["entries"]}
-        omitted = resp.get("omitted")
-        if omitted:
+        entries = resp["entries"]
+        self.server.monitor.table.merge(entries)
+        for host, jobs in resp["presence"].items():
+            if host != self.server.name:
+                self.presence[host] = set(jobs)
+        seen = {e["info"].job_id: e["last_heartbeat"] for e in entries}
+        if resp.get("gather_delta"):
+            omitted = resp["omitted"]
             seen.update(omitted)
-        token = resp.get("gather_basis")
-        if token is not None:
-            self._have_basis[name] = token
-        return seen, _reply_wire(resp)
+            wire = max(_PROBE_WIRE_BYTES,
+                       _ENTRY_WIRE_BYTES * len(entries)
+                       + _SUMMARY_WIRE_BYTES * len(omitted))
+        else:
+            wire = _ENTRY_WIRE_BYTES * max(1, len(entries))
+        self._have_basis[name] = resp["gather_basis"]
+        return seen, wire
 
     def _encode_gather_reply(self, requester, have, entries):
         """Build the entry part of a pull reply for *requester*.
@@ -519,8 +534,7 @@ class Controller:
         size = _ENTRY_WIRE_BYTES * max(1, len(entries))
         self._gather_seq += 1
         token = (self._sync_basis, self._gather_seq)
-        stored = self._gather_sent.get(requester) \
-            if requester is not None else None
+        stored = self._gather_sent.get(requester)
         wire = None
         if (have is not None and stored is not None
                 and stored[0] == have
@@ -547,208 +561,41 @@ class Controller:
         else:
             reply = {"entries": entries, "gather_basis": token}
             self.gather_full_replies += 1
-        if requester is not None:
-            self._gather_sent[requester] = (token, full_map)
+        self._gather_sent[requester] = (token, full_map)
         return reply, size, wire
 
-    def _encode_push(self, entries, presence, digest, resp, seen,
-                     kind: str = "push", epoch: Optional[int] = None):
-        """The push body for one responder, plus its effective wire
-        bytes (``None`` = nominal).
+    def _encode_push(self, entries, presence, digest, epoch: int, edge):
+        """The push body for one child, plus its effective wire bytes
+        (``None`` = nominal).
 
-        Delta-encodable iff the responder neither requested a full
-        resync nor predates the handshake. The delta
-        keeps exactly the entries whose merge at the responder would do
-        something: the merge updates on strictly-newer heartbeats, so an
-        entry the responder reported with an equal-or-newer heartbeat is
-        provably a no-op there (local heartbeats only move forward, so
-        the proof survives the reply→push latency) and is omitted. The
-        push's nominal ``size`` (and hence all simulated timing) still
-        reflects the full table.
+        *edge* is the child's ``(seen, basis, wants_full)`` from this
+        epoch's gather, or ``None`` when there is none to delta against.
+        The delta keeps exactly the entries whose merge at the child
+        would do something: the merge updates on strictly-newer
+        heartbeats, so an entry the child reported with an equal-or-newer
+        heartbeat is provably a no-op there (local heartbeats only move
+        forward, so the proof survives the reply→push latency) and is
+        omitted. The push's nominal ``size`` (and hence all simulated
+        timing) still reflects the full table.
         """
-        push = {"kind": kind, "host": self.server.name,
+        push = {"kind": "push", "epoch": epoch, "host": self.server.name,
                 "entries": entries, "presence": presence, "hash": digest}
-        if epoch is not None:
-            push["epoch"] = epoch
-        if resp.get("basis") is None or resp.get("full") or seen is None:
+        if edge is None or edge[2]:
             self.full_pushes += 1
             return push, None
+        seen, basis, _ = edge
         absent = float("-inf")
         delta = [e for e in entries
                  if seen.get(e["info"].job_id, absent) < e["last_heartbeat"]]
-        push = dict(push, entries=delta, delta=True, basis=resp["basis"])
+        push = dict(push, entries=delta, delta=True, basis=basis)
         self.delta_pushes += 1
         return push, _ENTRY_WIRE_BYTES * max(1, len(delta))
 
-    def _answer_pull(self, rpc):
-        """A coordinator probed us: reply our snapshot after the
-        controller's processing time (serialisation cost, §5.6)."""
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: the reply is lost
-        body = rpc.body
-        if self._quiescent_match(body.get("qhash")):
-            self.quiescent_replies += 1
-            rpc.reply({"same": True, "host": self.server.name,
-                       "basis": self._sync_basis, "full": False},
-                      size=_PROBE_WIRE_BYTES)
-            return
-        monitor = self.server.monitor
-        entries = monitor.table.snapshot()
-        reply, size, wire = self._encode_gather_reply(
-            body.get("host"), body.get("have"), entries)
-        reply.update(host=self.server.name,
-                     host_jobs=sorted(monitor.active_local_jobs()),
-                     basis=self._sync_basis,
-                     full=self._needs_full_sync)
-        rpc.reply(reply, size=size, payload_bytes=wire)
-
-    def _apply_push(self, rpc):
-        """A coordinator scattered the merged state: apply and ack.
-
-        When the push's content hash matches the last one we applied,
-        the merge would be a byte-for-byte no-op (entries merge by
-        strictly-newer heartbeat, so replaying an applied snapshot
-        changes nothing) and the token refresh would hit its memo — both
-        are skipped. The ack and its timing are identical either way, so
-        the skip never perturbs the simulated trace.
-        """
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: stale merge + ack lost
-        body = rpc.body
-        rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
-        self.sync_rounds += 1
-        if body.get("delta"):
-            if body["basis"] != self._sync_basis:
-                # We restarted between our pull reply and this push: the
-                # delta was computed against state we no longer hold, so
-                # applying it could leave silently-omitted entries
-                # missing forever. Drop it and pull the full table next
-                # round (our next reply advertises ``full``). This is
-                # the protocol's designed degraded window: until that
-                # resync lands we run on the post-restart local view,
-                # exactly as a crash already implies.
-                self.basis_mismatches += 1
-                self._needs_full_sync = True
-                return
-        elif self._needs_full_sync:
-            self._needs_full_sync = False
-            self.full_resyncs += 1
-        digest = body["hash"]
-        if digest == self._last_push_hash:
-            self.push_hash_skips += 1
-            return
-        self.server.monitor.table.merge(body["entries"])
-        for host, jobs in body["presence"].items():
-            if host != self.server.name:
-                self.presence[host] = set(jobs)
-        self._last_push_hash = digest
-        self.refresh_tokens()
-
-    # ---------------------------------------------------------- tree protocol
-    def _edge_timeout(self, order_len: int, fanout: int,
-                      child_pos: int) -> Optional[float]:
-        """Per-edge RPC budget, scaled by the child's subtree depth
-        (its answer transitively awaits its whole subtree)."""
-        t = self.server.config.sync_timeout
-        if t <= 0:
-            return None
-        return t * (1.0 + subtree_height(order_len, fanout, child_pos))
-
-    def _tree_round(self, epoch: int):
-        """One aggregation-tree epoch, if we are its rotating root.
-
-        The root's round mirrors the flat one but only touches its k
-        children; interior nodes answer :meth:`_answer_tree_pull` by
-        recursively gathering their own subtree first, and
-        :meth:`_apply_tree_push` forwards the scatter down the same
-        edges. Merged content per epoch is identical to the flat round
-        (merge is order-independent and the member set is the same).
-        """
-        members = self._members()
-        order = tree_order(members, epoch)
-        if order[0] != self.server.name:
-            return
-        self.coordinated_rounds += 1
-        self.tree_rounds += 1
-        fanout = self.server.config.sync_tree_fanout
-        n = len(order)
-
-        qhash, pre_map = self._quiescence_state()
-        pulls = []
-        for pos in tree_children(n, fanout, 0):
-            name = order[pos]
-            probe = {"kind": "tpull", "epoch": epoch,
-                     "host": self.server.name,
-                     "have": self._have_basis.get(name), "qhash": qhash}
-            pulls.append((name, pos, self._peer(name).call(
-                "sync", probe, size=_PROBE_WIRE_BYTES,
-                timeout=self._edge_timeout(n, fanout, pos))))
-        self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
-        degraded = False
-        all_same = True
-        responders: List[tuple] = []
-        for name, pos, call in pulls:
-            try:
-                resp = yield call
-            except RpcTimeout:
-                degraded = True
-                continue
-            if resp.get("same"):
-                self.coord_gather_payload_bytes += _PROBE_WIRE_BYTES
-                responders.append((name, pos, resp, pre_map))
-                continue
-            all_same = False
-            seen, wire = self._harvest_reply(name, resp)
-            self.coord_gather_payload_bytes += wire
-            responders.append((name, pos, resp, seen))
-
-        if qhash is not None and all_same:
-            # Every subtree hashed identical to the last merged state:
-            # nothing to merge, nothing to scatter, cluster-wide.
-            self._quiescent_finish(epoch, qhash, degraded)
-            return
-
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        digest = _content_hash(entries, presence)
-        self.digest_log.append((epoch, digest))
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        acks = []
-        for name, pos, resp, seen in responders:
-            push, wire = self._encode_push(entries, presence, digest,
-                                           resp, seen, kind="tpush",
-                                           epoch=epoch)
-            acks.append((name, self._peer(name).call(
-                "sync", push, size=size,
-                timeout=self._edge_timeout(n, fanout, pos),
-                payload_bytes=wire)))
-        for name, call in acks:
-            try:
-                yield call
-            except RpcTimeout:
-                degraded = True
-
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-        self._last_push_hash = digest
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
     def _answer_tree_pull(self, rpc):
-        """A tree parent probed us: gather our subtree, merge it, and
-        reply the aggregate (delta-encoded against what the parent has
-        confirmed from us). Leaves skip straight to the reply."""
+        """A tree parent probed us: after the controller's processing
+        time (serialisation cost, §5.6) gather our subtree, merge it,
+        and reply the aggregate (delta-encoded against what the parent
+        has confirmed from us). Leaves skip straight to the reply."""
         processing = self.server.config.sync_processing_time
         if processing > 0:
             yield self.server.engine.timeout(processing)
@@ -756,55 +603,15 @@ class Controller:
             return  # crashed mid-processing: the reply is lost
         body = rpc.body
         epoch = body["epoch"]
-        fanout = self.server.config.sync_tree_fanout
-        members = self._members()
-        order = tree_order(members, epoch)
-        n = len(order)
-        try:
-            pos = order.index(self.server.name)
-        except ValueError:  # pragma: no cover - membership drift
-            pos = 0
-        child_pos = tree_children(n, fanout, pos)
-
         qhash = body.get("qhash")
         quiet = self._quiescent_match(qhash)
         pre_map = None
         if quiet:
             pre_map = {e["info"].job_id: e["last_heartbeat"]
                        for e in self.server.monitor.table.snapshot()}
-
-        gather: dict = {}
-        degraded = False
-        all_same = True
-        if child_pos:
-            self.max_gather_fanin = max(self.max_gather_fanin,
-                                        len(child_pos))
-            pulls = []
-            for cp in child_pos:
-                name = order[cp]
-                probe = {"kind": "tpull", "epoch": epoch,
-                         "host": self.server.name,
-                         "have": self._have_basis.get(name),
-                         "qhash": qhash if quiet else None}
-                pulls.append((name, cp, self._peer(name).call(
-                    "sync", probe, size=_PROBE_WIRE_BYTES,
-                    timeout=self._edge_timeout(n, fanout, cp))))
-            for name, cp, call in pulls:
-                try:
-                    resp = yield call
-                except RpcTimeout:
-                    degraded = True
-                    continue
-                if resp.get("same"):
-                    self.relay_gather_payload_bytes += _PROBE_WIRE_BYTES
-                    gather[name] = (pre_map, resp["basis"],
-                                    resp.get("full", False))
-                    continue
-                all_same = False
-                seen, wire = self._harvest_reply(name, resp)
-                self.relay_gather_payload_bytes += wire
-                gather[name] = (seen, resp.get("basis"),
-                                resp.get("full", False))
+        gather, subtree, degraded, all_same = yield from self._gather(
+            epoch, self._children(epoch), qhash if quiet else None,
+            pre_map, root=False)
         if self.server.crashed:
             return
         # Remember this epoch's gather so the matching push can reuse
@@ -813,30 +620,23 @@ class Controller:
         for old in [e for e in self._tree_gather if e < epoch - 1]:
             del self._tree_gather[old]
         if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
+            self._note_degraded()
 
         if quiet and all_same:
             # Our content and every responding child's subtree hash to
             # the probe's digest: the aggregate is provably "no news".
             self.quiescent_replies += 1
-            rpc.reply({"same": True, "host": self.server.name,
-                       "basis": self._sync_basis, "full": False},
+            rpc.reply({"same": True, "basis": self._sync_basis},
                       size=_PROBE_WIRE_BYTES)
             return
-
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
+        monitor = self.server.monitor
         reply, size, wire = self._encode_gather_reply(
-            body.get("host"), body.get("have"), entries)
-        reply.update(host=self.server.name,
-                     host_jobs=sorted(presence.get(self.server.name, [])),
-                     presence=presence,
-                     basis=self._sync_basis,
+            body["host"], body.get("have"), monitor.table.snapshot())
+        # Placement only for our own subtree: our view of any other
+        # host is older than what the parent hears from that host.
+        presence = {self.server.name: sorted(monitor.active_local_jobs())}
+        presence.update(subtree)
+        reply.update(presence=presence, basis=self._sync_basis,
                      full=self._needs_full_sync)
         rpc.reply(reply, size=size, payload_bytes=wire)
 
@@ -844,7 +644,13 @@ class Controller:
         """A tree parent scattered the merged state: apply it, forward
         it down our gather edges, then ack (the ack therefore covers
         the whole subtree — the root's round ends when every reachable
-        descendant holds the merged table)."""
+        descendant holds the merged table).
+
+        When the push's content hash matches the last one we applied,
+        the merge would be a byte-for-byte no-op (entries merge by
+        strictly-newer heartbeat) and the token refresh would hit its
+        memo — both are skipped without touching the trace.
+        """
         processing = self.server.config.sync_processing_time
         if processing > 0:
             yield self.server.engine.timeout(processing)
@@ -855,9 +661,11 @@ class Controller:
         self.sync_rounds += 1
         if body.get("delta") and body["basis"] != self._sync_basis:
             # Restarted between our subtree reply and this push: the
-            # delta's basis is gone. Drop it, request a full resync,
-            # and forward nothing — our children heal on a later
-            # epoch's edges (the tree reshapes every epoch).
+            # delta was computed against state we no longer hold, so
+            # applying it could leave silently-omitted entries missing
+            # forever. Drop it, request a full resync, and forward
+            # nothing — our children heal on a later epoch's edges (the
+            # tree reshapes every epoch).
             self.basis_mismatches += 1
             rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
             self._needs_full_sync = True
@@ -883,143 +691,26 @@ class Controller:
     def _forward_tree_push(self, epoch: int, digest: str):
         """Scatter the merged state down this epoch's gather edges."""
         gather = self._tree_gather.pop(epoch, None)
-        fanout = self.server.config.sync_tree_fanout
-        members = self._members()
-        order = tree_order(members, epoch)
-        n = len(order)
-        try:
-            pos = order.index(self.server.name)
-        except ValueError:  # pragma: no cover - membership drift
+        if gather is None:
+            # Our bookkeeping for this epoch is gone (we restarted in
+            # between and the parent pushed full): resync the whole
+            # subtree with full tables.
+            gather = {name: (timeout, None)
+                      for name, timeout in self._children(epoch)}
+            self.subtree_full_pushes += len(gather)
+        if not gather:
             return
-        child_pos = tree_children(n, fanout, pos)
-        if not child_pos:
-            return
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        acks = []
-        for cp in child_pos:
-            name = order[cp]
-            if gather is None:
-                # Our gather bookkeeping for this epoch is gone (we
-                # restarted in between and the parent pushed full):
-                # resync the whole subtree with full tables.
-                self.subtree_full_pushes += 1
-                self.full_pushes += 1
-                push = {"kind": "tpush", "host": self.server.name,
-                        "entries": entries, "presence": presence,
-                        "hash": digest, "epoch": epoch}
-                wire = None
-            elif name in gather:
-                seen, basis, wants_full = gather[name]
-                push, wire = self._encode_push(
-                    entries, presence, digest,
-                    {"basis": basis, "full": wants_full}, seen,
-                    kind="tpush", epoch=epoch)
-            else:
-                # The child never answered this epoch's gather
-                # (crash/partition on the edge): it holds no basis for
-                # a push, and a full push would race its recovery —
-                # skip it; a later epoch's reshaped tree resyncs it.
-                continue
-            acks.append((name, self._peer(name).call(
-                "sync", push, size=size,
-                timeout=self._edge_timeout(n, fanout, cp),
-                payload_bytes=wire)))
-        degraded = False
-        for name, call in acks:
-            try:
-                yield call
-            except RpcTimeout:
-                degraded = True
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-
-    # ------------------------------------------------------ pairwise protocol
-    def _pairwise_round(self):
-        """One round of the original per-pair exchange protocol."""
-        engine = self.server.engine
-        table = self.server.monitor.table
-        payload = self._payload()
-        size = _ENTRY_WIRE_BYTES * max(1, len(payload["entries"]))
-        timeout = self.server.config.sync_timeout
-        if timeout <= 0:
-            # Lock-step all-gather (original behaviour, byte-
-            # identical traces when timeouts are disabled).
-            calls = [self._peer(name).call("sync", payload, size=size)
-                     for name in sorted(self._peer_addrs)]
-            responses = yield engine.all_of(calls)
-            for resp in responses:
-                table.merge(resp["entries"])
-                self.presence[resp["host"]] = set(resp["host_jobs"])
-        else:
-            # Per-peer timeout: issue every exchange up front, then
-            # harvest; a silent peer costs at most `timeout` and the
-            # round proceeds on the partial table (degraded mode).
-            calls = [(name, self._peer(name).call(
-                        "sync", payload, size=size, timeout=timeout))
-                     for name in sorted(self._peer_addrs)]
-            degraded = False
-            for name, call in calls:
-                try:
-                    resp = yield call
-                except RpcTimeout:
-                    degraded = True
-                    continue
-                table.merge(resp["entries"])
-                self.presence[resp["host"]] = set(resp["host_jobs"])
-            if degraded:
-                self.degraded_rounds += 1
-                if self.server.fault_stats is not None:
-                    self.server.fault_stats.degraded_sync_rounds += 1
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
-    def _answer_pairwise(self, rpc):
-        """Peer pushed its snapshot (pairwise protocol): merge and reply
-        after the controller's processing time (§5.6)."""
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: stale merge + reply lost
-        table = self.server.monitor.table
-        table.merge(rpc.body["entries"])
-        self.presence[rpc.body["host"]] = set(rpc.body["host_jobs"])
-        payload = self._payload()
-        rpc.reply(payload,
-                  size=_ENTRY_WIRE_BYTES * max(1, len(payload["entries"])))
-        self.refresh_tokens()
+        entries, presence = self._merged_view()
+        if (yield from self._scatter(epoch, gather, entries, presence,
+                                     digest)):
+            self._note_degraded()
 
     def handle_sync(self, rpc) -> None:
-        """Dispatch an inbound sync message by protocol role."""
+        """Dispatch an inbound sync message by its kind."""
         if self.server.crashed:
             return  # a dead server neither merges nor answers
         kind = rpc.body.get("kind")
         if kind == "pull":
-            self.server.engine.process(self._answer_pull(rpc))
-        elif kind == "push":
-            self.server.engine.process(self._apply_push(rpc))
-        elif kind == "tpull":
             self.server.engine.process(self._answer_tree_pull(rpc))
-        elif kind == "tpush":
+        elif kind == "push":
             self.server.engine.process(self._apply_tree_push(rpc))
-        else:
-            self.server.engine.process(self._answer_pairwise(rpc))
-
-
-def _reply_wire(resp: dict) -> int:
-    """Effective wire bytes of one gather reply (for the fan-in
-    accounting; mirrors the payload_bytes the responder attached)."""
-    if resp.get("same"):
-        return _PROBE_WIRE_BYTES
-    if resp.get("gather_delta"):
-        return max(_PROBE_WIRE_BYTES,
-                   _ENTRY_WIRE_BYTES * len(resp["entries"])
-                   + _SUMMARY_WIRE_BYTES * len(resp.get("omitted") or ()))
-    return _ENTRY_WIRE_BYTES * max(1, len(resp["entries"]))

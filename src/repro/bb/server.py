@@ -66,23 +66,19 @@ class ServerConfig:
     #: cannot speed convergence up further.
     sync_processing_time: float = 0.035
     client_pool_workers: int = 4      # UCP workers shared among clients
-    #: per-peer λ-sync RPC timeout; a peer that does not answer within
-    #: this window is skipped and the round proceeds on the partial
-    #: table (degraded mode). 0 disables timeouts: the all-gather is the
-    #: original lock-step exchange, which a dead peer would wedge — keep
-    #: it 0 only for runs that never crash servers.
+    #: per-edge λ-sync RPC timeout (scaled by the child's subtree
+    #: depth); a child that does not answer within it is skipped and the
+    #: round proceeds on the partial table (degraded mode). 0 disables
+    #: timeouts: every round waits on every edge, so a dead peer would
+    #: wedge it — keep it 0 only for runs that never crash servers.
     sync_timeout: float = 0.0
-    #: λ-sync wire protocol: True (default) runs one coordinator-driven
-    #: gather→merge→scatter round per epoch (2·(N-1) message pairs
-    #: cluster-wide, content-hash skip on unchanged state); False runs
-    #: the original per-pair exchange (N·(N-1) pairs per epoch).
-    batched_sync: bool = True
-    #: branching factor of the hierarchical λ-sync aggregation tree
-    #: (DESIGN.md §13). 0 (default) keeps the flat batched round; k >= 2
-    #: arranges each epoch's members in a deterministic k-ary tree under
-    #: the rotating root, with interior nodes merging their subtree
-    #: before forwarding — peak per-node fan-in drops from N−1 to k and
-    #: the two layouts produce identical merged tables per epoch.
+    #: branching factor of the λ-sync aggregation tree (DESIGN.md §13).
+    #: 0 (default) is the one-level tree: every peer is a direct child
+    #: of the epoch's rotating root (2·(N-1) message pairs per epoch).
+    #: k >= 2 arranges each epoch's members in a deterministic k-ary
+    #: tree, with interior nodes merging their subtree before
+    #: forwarding — peak per-node fan-in drops from N−1 to k and every
+    #: layout produces identical merged tables per epoch.
     sync_tree_fanout: int = 0
     #: skip the entire merge round when nothing changed cluster-wide:
     #: the gather probes carry the last merged content hash, peers whose
@@ -99,9 +95,7 @@ class ServerConfig:
             raise ConfigError("latencies must be non-negative")
         if self.sync_tree_fanout < 0 or self.sync_tree_fanout == 1:
             raise ConfigError(
-                "sync_tree_fanout must be 0 (flat round) or >= 2")
-        if self.sync_tree_fanout and not self.batched_sync:
-            raise ConfigError("tree sync requires batched_sync=True")
+                "sync_tree_fanout must be 0 (one level) or >= 2")
 
 
 class Server:

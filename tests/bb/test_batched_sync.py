@@ -1,6 +1,7 @@
-"""Batched λ-sync protocol: equivalence with the pairwise/lock-step
-exchange, determinism, hash-skip trace-neutrality, and the message
-economy the batching buys (2·(N−1) pairs per epoch vs N·(N−1))."""
+"""The one-level λ-sync round (the default ``sync_tree_fanout=0``):
+equivalence with an offline all-gather merge, determinism, hash-skip
+trace-neutrality, and its exact message count (2·(N−1) request/response
+pairs per epoch)."""
 
 import numpy as np
 
@@ -13,12 +14,11 @@ from repro.units import GB, MB
 from ..oracles import exact, exact_unless
 
 
-def _run_cluster(batched, *, seed=0, until=6.0, n_servers=3, n_jobs=4,
+def _run_cluster(*, seed=0, until=6.0, n_servers=3, n_jobs=4,
                  writes=12):
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair", seed=seed,
-        server=ServerConfig(bandwidth=1 * GB, n_workers=2,
-                            batched_sync=batched)))
+        server=ServerConfig(bandwidth=1 * GB, n_workers=2)))
     cluster.fs.makedirs("/fs/d")
     engine = cluster.engine
 
@@ -44,29 +44,10 @@ def _trace(cluster):
 
 
 class TestProtocolEquivalence:
-    def test_batched_converges_to_lockstep_merged_table(self):
-        batched = _run_cluster(True)
-        pairwise = _run_cluster(False)
-        for cluster in (batched, pairwise):
-            views = [server.monitor.table.active_jobs()
-                     for server in cluster.servers.values()]
-            # Every server has converged on the same global view...
-            ids = [sorted(j.job_id for j in view) for view in views]
-            assert all(x == ids[0] for x in ids), ids
-        # ...and the view is the same one the lock-step protocol reaches.
-        b_view = {j.job_id: (j.user, j.size)
-                  for j in next(iter(batched.servers.values()))
-                  .monitor.table.active_jobs()}
-        p_view = {j.job_id: (j.user, j.size)
-                  for j in next(iter(pairwise.servers.values()))
-                  .monitor.table.active_jobs()}
-        assert b_view == p_view
-        assert b_view  # the run actually registered jobs
-
     def test_batched_matches_reference_all_gather(self):
-        """The converged batched table equals an offline all-gather merge
+        """The converged table equals an offline all-gather merge
         of the same per-server snapshots."""
-        cluster = _run_cluster(True)
+        cluster = _run_cluster()
         tables = []
         for server in cluster.servers.values():
             table = JobStatusTable(
@@ -81,12 +62,12 @@ class TestProtocolEquivalence:
             assert got == reference
 
     def test_same_seed_same_trace(self):
-        a = _trace(_run_cluster(True, seed=3))
-        b = _trace(_run_cluster(True, seed=3))
+        a = _trace(_run_cluster(seed=3))
+        b = _trace(_run_cluster(seed=3))
         assert a == b
 
     def test_batched_round_counters(self):
-        cluster = _run_cluster(True)
+        cluster = _run_cluster()
         coordinated = sum(s.controller.coordinated_rounds
                           for s in cluster.servers.values())
         assert coordinated > 0
@@ -97,42 +78,46 @@ class TestProtocolEquivalence:
 
 class TestHashSkip:
     def test_hash_skip_is_trace_neutral(self):
-        skipping = _trace(_run_cluster(True, seed=1))
+        skipping = _trace(_run_cluster(seed=1))
         with exact("sync_hash_skip"):
-            merging = _trace(_run_cluster(True, seed=1))
+            merging = _trace(_run_cluster(seed=1))
         assert skipping == merging
 
     def test_skips_happen_on_quiescent_tables(self):
         # No clients: the merged table never changes, so after the first
         # scatter every push carries a repeated digest.
-        cluster = _sync_only_cluster(True, until=8.0)
+        cluster = _sync_only_cluster(until=8.0)
         skips = sum(s.controller.push_hash_skips
                     for s in cluster.servers.values())
         assert skips > 0
 
 
-def _sync_only_cluster(batched, n_servers=4, until=5.0):
+def _sync_only_cluster(n_servers=4, until=5.0):
     # No clients: every fabric message is λ-sync traffic.
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair",
-        server=ServerConfig(bandwidth=1 * GB, n_workers=1,
-                            batched_sync=batched)))
+        server=ServerConfig(bandwidth=1 * GB, n_workers=1)))
     cluster.run(until=until)
     return cluster
 
 
 class TestMessageEconomy:
     def test_batched_sends_fewer_sync_messages(self):
-        batched = _sync_only_cluster(True)
-        pairwise = _sync_only_cluster(False)
-        assert batched.fabric.messages_sent < pairwise.fabric.messages_sent
-        # 2(N-1) pairs vs N(N-1) per epoch: ~N/2 fewer wire messages
-        # (at N=4, 12 vs 24 per epoch, modulo boundary epochs).
-        assert (batched.fabric.messages_sent
-                <= 0.6 * pairwise.fabric.messages_sent)
+        """Exactly 4·(N−1) wire messages per completed epoch — pull,
+        reply, push and ack per peer — where an all-pairs exchange
+        would send 2·N·(N−1)."""
+        n = 4
+        cluster = _sync_only_cluster(n_servers=n)
+        rounds = sum(s.controller.coordinated_rounds
+                     for s in cluster.servers.values())
+        assert rounds == 10  # epochs at 0.5 s .. 5.0 s
+        # The tenth epoch starts at the t=5 s horizon: only its N−1
+        # pulls are on the wire.
+        assert (cluster.fabric.messages_sent
+                == 4 * (n - 1) * (rounds - 1) + (n - 1))
 
     def test_fabric_counter_reset(self):
-        cluster = _sync_only_cluster(True)
+        cluster = _sync_only_cluster()
         assert cluster.fabric.messages_sent > 0
         cluster.fabric.reset_counters()
         assert cluster.fabric.messages_sent == 0
@@ -143,15 +128,15 @@ class TestDeltaSync:
     """Delta-encoded scatter pushes: same trace, fewer payload bytes."""
 
     def test_delta_is_trace_neutral(self):
-        delta = _trace(_run_cluster(True, seed=4, n_servers=4))
+        delta = _trace(_run_cluster(seed=4, n_servers=4))
         with exact("sync_delta"):
-            full = _trace(_run_cluster(True, seed=4, n_servers=4))
+            full = _trace(_run_cluster(seed=4, n_servers=4))
         assert delta == full
 
     def test_delta_shrinks_payload_bytes_not_wire_size(self):
         def measure(flag):
             with exact_unless(flag, "sync_delta"):
-                c = _run_cluster(True, seed=4, n_servers=4, writes=20)
+                c = _run_cluster(seed=4, n_servers=4, writes=20)
             pushes = sum(s.controller.delta_pushes
                          for s in c.servers.values())
             return c.fabric.bytes_sent, c.fabric.payload_bytes_sent, pushes
@@ -166,7 +151,7 @@ class TestDeltaSync:
         assert payload_off == size_off  # no encoding => payload == wire
 
     def test_hash_skip_still_functions_with_delta(self):
-        cluster = _sync_only_cluster(True, until=8.0)
+        cluster = _sync_only_cluster(until=8.0)
         skips = sum(s.controller.push_hash_skips
                     for s in cluster.servers.values())
         assert skips > 0
@@ -177,9 +162,9 @@ class TestAllTogglesEquivalence:
     vs every exact oracle at once — bit-identical event trace."""
 
     def test_caches_on_equals_caches_off(self):
-        cached = _trace(_run_cluster(True, seed=2, n_servers=2))
+        cached = _trace(_run_cluster(seed=2, n_servers=2))
         with exact():
-            uncached = _trace(_run_cluster(True, seed=2, n_servers=2))
+            uncached = _trace(_run_cluster(seed=2, n_servers=2))
         assert cached == uncached
 
     def test_policy_shares_identical_with_cache_disabled(self):

@@ -12,7 +12,8 @@ cluster-quiescence whole-round skip with its content-hash guard.
 import pytest
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
-from repro.bb.controller import subtree_height, tree_children, tree_order
+from repro.bb.controller import (Controller, subtree_height,
+                                 tree_children, tree_order)
 from repro.core import JobInfo
 from repro.errors import ConfigError
 from repro.units import GB, MB
@@ -25,7 +26,6 @@ def _run_cluster(*, fanout=0, quiescence=False, seed=0, until=6.0,
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair", seed=seed,
         server=ServerConfig(bandwidth=1 * GB, n_workers=2,
-                            batched_sync=True,
                             sync_tree_fanout=fanout,
                             sync_quiescence_skip=quiescence)))
     cluster.fs.makedirs("/fs/d")
@@ -54,7 +54,6 @@ def _sync_only_cluster(*, fanout=0, quiescence=False, n_servers=6,
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair",
         server=ServerConfig(bandwidth=1 * GB, n_workers=1,
-                            batched_sync=True,
                             sync_tree_fanout=fanout,
                             sync_quiescence_skip=quiescence)))
     for j in range(n_jobs):
@@ -117,10 +116,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ServerConfig(sync_tree_fanout=-2)
 
-    def test_tree_requires_batched_sync(self):
-        with pytest.raises(ConfigError):
-            ServerConfig(sync_tree_fanout=4, batched_sync=False)
-
 
 class TestTreeConvergence:
     def test_tree_converges_to_flat_merged_view(self):
@@ -153,7 +148,68 @@ class TestTreeConvergence:
         cluster = _sync_only_cluster(fanout=2, n_servers=4, until=6.0)
         for server in cluster.servers.values():
             assert server.controller.coordinated_rounds > 0
-            assert server.controller.tree_rounds > 0
+
+
+class TestSubtreePresence:
+    """Gather replies carry placement for the responder's own subtree
+    only: a reply that also relayed the responder's older view of other
+    hosts would overwrite fresher reports the parent already harvested
+    from those hosts."""
+
+    def test_root_holds_each_hosts_own_report(self, monkeypatch):
+        interval = 0.5
+        reported = {}  # (epoch, host) -> jobs the host reported
+        observed = []  # (epoch, root's presence when its round ends)
+        encode = Controller._encode_gather_reply
+        tree_round = Controller._tree_round
+
+        def spy_encode(self, requester, have, entries):
+            # Called as the reply is built, at the instant it is sent.
+            epoch = int(self.server.engine.now / interval)
+            reported[(epoch, self.server.name)] = \
+                self.server.monitor.active_local_jobs()
+            return encode(self, requester, have, entries)
+
+        def spy_round(self, epoch):
+            driven = self.coordinated_rounds
+            yield from tree_round(self, epoch)
+            if self.coordinated_rounds > driven:
+                observed.append((epoch, {h: set(j) for h, j
+                                         in self.presence.items()}))
+
+        monkeypatch.setattr(Controller, "_encode_gather_reply", spy_encode)
+        monkeypatch.setattr(Controller, "_tree_round", spy_round)
+        cluster = Cluster(ClusterConfig(
+            n_servers=6, policy="job-fair",
+            server=ServerConfig(bandwidth=1 * GB, n_workers=1,
+                                sync_interval=interval,
+                                sync_tree_fanout=2)))
+        cluster.fs.makedirs("/fs/d")
+        engine = cluster.engine
+
+        def app(client, idx):
+            # Staggered starts: placement changes between epochs.
+            yield engine.timeout(0.3 * idx)
+            path = f"/fs/d/f{idx}"
+            yield from client.create(path)
+            for _ in range(40):
+                yield from client.write(path, 0, 1 * MB)
+
+        for idx in range(6):
+            client = cluster.add_client(
+                JobInfo(job_id=idx + 1, user=f"u{idx % 2}"))
+            engine.process(app(client, idx))
+        cluster.run(until=4.2)
+
+        checked = 0
+        for epoch, presence in observed:
+            for (e, host), jobs in reported.items():
+                if e == epoch:
+                    assert presence.get(host) == jobs, (epoch, host)
+                    checked += 1
+        assert len(observed) >= 7 and checked >= 5 * len(observed)
+        # Non-vacuous: hosts reported changing, non-empty placements.
+        assert len({frozenset(j) for j in reported.values()}) > 2
 
 
 class TestFanInAndRootBytes:

@@ -119,10 +119,8 @@ def test_real_tree_protocol_surface_is_modelled():
     sent_kinds = set()
     for _fn, _site, kinds, _keys in index.resolved_sends():
         sent_kinds.update(kinds)
-    assert {"pull", "push", "tpull", "tpush",
-            "register", "heartbeat", "goodbye"} <= sent_kinds
+    assert {"pull", "push", "register", "heartbeat", "goodbye"} <= sent_kinds
 
     handled = {br.kind for _fn, br in index.dispatchers()
                if br.kind is not None}
-    assert {"pull", "push", "tpull", "tpush",
-            "register", "heartbeat", "goodbye"} <= handled
+    assert {"pull", "push", "register", "heartbeat", "goodbye"} <= handled

@@ -104,33 +104,6 @@ def _wake_every(self, ino, ranges=None):
 
 
 # ---------------------------------------------------------------- λ-sync
-def _apply_push_merging(self, rpc):
-    """``Controller._apply_push`` without the content-hash skip."""
-    processing = self.server.config.sync_processing_time
-    if processing > 0:
-        yield self.server.engine.timeout(processing)
-    if self.server.crashed:
-        return
-    body = rpc.body
-    rpc.reply({"ok": True}, size=ctlmod._PROBE_WIRE_BYTES)
-    self.sync_rounds += 1
-    if body.get("delta"):
-        if body["basis"] != self._sync_basis:
-            self.basis_mismatches += 1
-            self._needs_full_sync = True
-            return
-    elif self._needs_full_sync:
-        self._needs_full_sync = False
-        self.full_resyncs += 1
-    digest = body["hash"]
-    self.server.monitor.table.merge(body["entries"])
-    for host, jobs in body["presence"].items():
-        if host != self.server.name:
-            self.presence[host] = set(jobs)
-    self._last_push_hash = digest
-    self.refresh_tokens()
-
-
 def _apply_tree_push_merging(self, rpc):
     """``Controller._apply_tree_push`` without the content-hash skip."""
     processing = self.server.config.sync_processing_time
@@ -162,12 +135,9 @@ def _apply_tree_push_merging(self, rpc):
     rpc.reply({"ok": True}, size=ctlmod._PROBE_WIRE_BYTES)
 
 
-def _full_push(self, entries, presence, digest, resp, seen,
-               kind="push", epoch=None):
-    push = {"kind": kind, "host": self.server.name,
+def _full_push(self, entries, presence, digest, epoch, edge):
+    push = {"kind": "push", "epoch": epoch, "host": self.server.name,
             "entries": entries, "presence": presence, "hash": digest}
-    if epoch is not None:
-        push["epoch"] = epoch
     self.full_pushes += 1
     return push, None
 
@@ -178,8 +148,7 @@ def _full_gather_reply(self, requester, have, entries):
     self._gather_seq += 1
     token = (self._sync_basis, self._gather_seq)
     self.gather_full_replies += 1
-    if requester is not None:
-        self._gather_sent[requester] = (token, full_map)
+    self._gather_sent[requester] = (token, full_map)
     return {"entries": entries, "gather_basis": token}, size, None
 
 
@@ -198,8 +167,7 @@ ORACLES = {
     "waiter_index": [(_WaiterMixin, "_wake", _wake_scan)],
     "range_wake": [(_WaiterMixin, "_wake", _wake_every),
                    (MetadataLockTable, "_wake_head", _wake_every)],
-    "sync_hash_skip": [(Controller, "_apply_push", _apply_push_merging),
-                       (Controller, "_apply_tree_push",
+    "sync_hash_skip": [(Controller, "_apply_tree_push",
                         _apply_tree_push_merging)],
     "sync_delta": [(Controller, "_encode_push", _full_push),
                    (Controller, "_encode_gather_reply", _full_gather_reply)],
